@@ -25,7 +25,6 @@ from .exclusion import (
     ModelParams,
     PairSelection,
     brute_force_tv,
-    draw_pair,
     fixed_points,
     initial_configuration,
     simulate_w_trajectory,
@@ -53,21 +52,17 @@ from .coupling import (
     build_coupled_kernel,
     coupling_tv_upper_bound,
     merge_time_samples,
-    simulate_dominated_pair,
-    simulate_merge,
 )
 from .bounds import (
     CollectorSpec,
     collection_time_samples,
     collector_moments,
     labeled_tv_lower_bound,
-    simulate_collection_time,
     unlabeled_tv_lower_bound,
 )
 from .walk import (
     WalkParams,
     gaussian_limit,
-    simulate_hitting,
     survival_bruteforce,
     survival_exact,
 )
@@ -92,7 +87,6 @@ __all__ = [
     "collector_moments",
     "coupling_tv_upper_bound",
     "d_curve",
-    "draw_pair",
     "equilibrium",
     "eigenfunction_check",
     "evolve",
@@ -105,10 +99,6 @@ __all__ = [
     "mixing_times",
     "replica_stream",
     "second_moment_closed_form",
-    "simulate_collection_time",
-    "simulate_dominated_pair",
-    "simulate_hitting",
-    "simulate_merge",
     "simulate_w_trajectory",
     "step",
     "survival_bruteforce",

@@ -2,12 +2,11 @@
 
 Started from the packed configuration, a particle on the block {1..k}
 moves only when one of the n^2 ordered site pairs touches its site, so
-the set of *selected* block sites grows exactly like a coupon collection
-in which draw j succeeds with probability j/n once n - j block sites
-remain untouched -- wait, more precisely: while ``j`` of the k block
-sites are still unselected, each single site draw hits a fresh one with
-probability j/n.  Two site draws happen per chain step, so the chain
-needs ceil(tau'/2) steps to select what tau' single draws select.
+the set of *selected* block sites grows exactly like a coupon collection:
+while ``j`` of the k block sites are still unselected, each single site
+draw hits a fresh one with probability j/n.  Two site draws happen per
+chain step, so the chain needs ceil(tau'/2) steps to select what tau'
+single draws select.
 
 Until all but K block sites are selected, at least K + 1 particles (or,
 unlabeled, at least one) still sit exactly where they started, an event
@@ -139,11 +138,6 @@ def collection_time_samples(
     """Collection time in chain steps: ceil(tau'/2), two draws per step."""
     tau_single = single_draw_collection_samples(spec, replicas, rng)
     return (tau_single + 1) // 2
-
-
-def simulate_collection_time(spec: CollectorSpec, rng: np.random.Generator) -> int:
-    """One sample of the chain-step collection time."""
-    return int(collection_time_samples(spec, 1, rng)[0])
 
 
 def geometric_sum_samples(

@@ -23,21 +23,30 @@ uniform per jump and both holding times through another (inverse-CDF
 geometric, where the smaller success probability always yields the
 longer holding time) produces, pathwise, a reflecting-free walk whose
 zero-hitting time tau' is never smaller than tau.
+
+Both samplers run the pair as one jump-chain process on the engine of
+:mod:`mixlab.walk`, which runs the dominating walk too.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exclusion import ModelParams
 from .lumped import BirthDeathKernel, build_kernel
+from .walk import _check_batch, _geometric_from_uniform, _jump_chain, _walk_process
 
 #: Largest number of transient pair states the exact linear-system solver
 #: will handle (dense solve).
 _PAIR_STATE_CAP = 2_000
+
+#: (W1, W2) steps of the four off-diagonal moves, in the order the
+#: skeleton thresholds split them: W1 up, W2 down, W1 down, W2 up.
+_PAIR_MOVES = np.array([[1, 0, -1, 0], [0, -1, 0, 1]], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -72,31 +81,43 @@ class CoupledKernel:
             ]
         return [(state, p) for state, p in row if p != 0.0]
 
-    def move_thresholds(
-        self, i: np.ndarray, j: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cumulative probabilities (c1..c4) splitting one uniform into the
-        four off-diagonal moves: W1 up, W2 down, W1 down, W2 up; a draw
-        beyond c4 holds."""
-        up, down = self.base.up, self.base.down
-        c1 = up[i]
-        c2 = c1 + down[j]
-        c3 = c2 + down[i]
-        c4 = c3 + up[j]
-        return c1, c2, c3, c4
-
     def skeleton_thresholds(
         self, i: np.ndarray, j: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Jump-chain splitting (a, b, c, q) for off-diagonal pair states.
 
-        q is the total move probability; a, b, c are the cumulative move
-        fractions in the same order as :meth:`move_thresholds`.  D = W1 - W2
-        increases exactly on the first two intervals, so b <= 1/2 always.
+        q is the total move probability; a, b, c are the cumulative
+        fractions of the four moves in the order of ``_PAIR_MOVES``.
+        D = W1 - W2 increases exactly on the first two intervals, so
+        b <= 1/2 always.
         """
-        c1, c2, c3, c4 = self.move_thresholds(i, j)
-        q = c4
+        up, down = self.base.up, self.base.down
+        c1 = up[i]
+        c2 = c1 + down[j]
+        c3 = c2 + down[i]
+        q = c3 + up[j]
         return c1 / q, c2 / q, c3 / q, q
+
+
+def _pair_process(kernel: CoupledKernel, x: int, y: int, replicas: int) -> tuple:
+    """The pair from (x, y) as a jump-chain process, absorbed on the diagonal.
+
+    From an off-diagonal state (i, j) a jump makes one of the four moves
+    split by :meth:`CoupledKernel.skeleton_thresholds`, after a geometric
+    hold with success probability q(i, j).
+    """
+    if not (0 <= y <= x <= kernel.params.k):
+        raise ValueError(f"start must satisfy 0 <= y <= x <= k, got ({x}, {y})")
+
+    def jump(state, u_move, u_clock):
+        a, b, c, q = kernel.skeleton_thresholds(state[0], state[1])
+        move = (u_move >= a).astype(np.int8) + (u_move >= b) + (u_move >= c)
+        with np.errstate(divide="ignore"):
+            log1m_q = np.log1p(-q)  # -inf when q == 1 (single forced move)
+        return state + _PAIR_MOVES[:, move], _geometric_from_uniform(u_clock, log1m_q)
+
+    state = np.repeat(np.array([[x], [y]], dtype=np.int64), replicas, axis=1)
+    return state, jump, lambda pair: pair[0] == pair[1]
 
 
 def build_coupled_kernel(params: ModelParams) -> CoupledKernel:
@@ -151,56 +172,16 @@ def merge_time_samples(
     replicas: int,
     rng: np.random.Generator,
 ) -> MergeSamples:
-    """Vectorized joint-chain simulation from pair state (x, y)."""
-    k = kernel.params.k
-    if not (0 <= y <= x <= k):
-        raise ValueError(f"start must satisfy 0 <= y <= x <= k, got ({x}, {y})")
-    if t_cap < 0:
-        raise ValueError("t_cap must be nonnegative")
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    tau = np.full(replicas, t_cap + 1, dtype=np.int64)
-    merged = np.zeros(replicas, dtype=bool)
-    w1 = np.full(replicas, x, dtype=np.int64)
-    w2 = np.full(replicas, y, dtype=np.int64)
-    if x == y:
-        tau[:] = 0
-        merged[:] = True
-        return MergeSamples(t_cap, tau, merged, w1, w2)
-    gid = np.arange(replicas)
-    ii = np.full(replicas, x, dtype=np.int64)
-    jj = np.full(replicas, y, dtype=np.int64)
-    for t in range(1, t_cap + 1):
-        if gid.size == 0:
-            break
-        u = rng.random(gid.size)
-        c1, c2, c3, c4 = kernel.move_thresholds(ii, jj)
-        ii = ii + (u < c1).astype(np.int64) - ((u >= c2) & (u < c3))
-        jj = jj + ((u >= c3) & (u < c4)).astype(np.int64) - ((u >= c1) & (u < c2))
-        met = ii == jj
-        if met.any():
-            hit = gid[met]
-            tau[hit] = t
-            merged[hit] = True
-            w1[hit] = ii[met]
-            w2[hit] = jj[met]
-            keep = ~met
-            gid, ii, jj = gid[keep], ii[keep], jj[keep]
-    w1[gid] = ii
-    w2[gid] = jj
-    return MergeSamples(t_cap, tau, merged, w1, w2)
+    """Vectorized joint-chain simulation from pair state (x, y).
 
-
-def simulate_merge(
-    kernel: CoupledKernel,
-    x: int,
-    y: int,
-    t_cap: int,
-    rng: np.random.Generator,
-) -> int | None:
-    """Meeting time of one joint-chain path, or None when t_cap is hit."""
-    samples = merge_time_samples(kernel, x, y, t_cap, 1, rng)
-    return int(samples.tau[0]) if samples.merged[0] else None
+    Runs the pair through its jump chain: each jump draws its move and
+    its geometric holding time from two uniforms, so hold steps cost
+    nothing.
+    """
+    _check_batch(t_cap, replicas)
+    state, jump, met = _pair_process(kernel, x, y, replicas)
+    [(tau, merged)] = _jump_chain([(state, jump, met)], t_cap, rng)
+    return MergeSamples(t_cap, tau, merged, state[0], state[1])
 
 
 def expected_merge_time_exact(kernel: CoupledKernel, x: int, y: int) -> float:
@@ -241,26 +222,30 @@ class CouplingBound:
 
 def coupling_tv_upper_bound(
     params: ModelParams,
-    t: int,
+    t_values: Sequence[int],
     replicas: int,
     rng: np.random.Generator,
     x: int | None = None,
     y: int = 0,
-) -> CouplingBound:
-    """Estimate P[meeting time > t] from the worst pair (default (k, 0)).
+) -> list[CouplingBound]:
+    """Estimate P[meeting time > t] at each t from the worst pair (default (k, 0)).
 
     The meeting-time tail bounds TV(time-t law from x, time-t law from y)
     from above, and with y at stationarity-reachable 0 and x = k it bounds
-    the distance curve d(t).  The estimate comes with its binomial
+    the distance curve d(t).  Every estimate is read from one batch of
+    merge times run to max(t_values) and comes with its binomial
     standard error.
     """
     kernel = build_coupled_kernel(params)
     if x is None:
         x = params.k
-    samples = merge_time_samples(kernel, x, y, t, replicas, rng)
-    survive = float(np.mean(~samples.merged))
-    stderr = math.sqrt(max(survive * (1.0 - survive), 0.0) / replicas)
-    return CouplingBound(params, t, replicas, survive, stderr)
+    samples = merge_time_samples(kernel, x, y, max(t_values), replicas, rng)
+    out = []
+    for t in t_values:
+        survive = float(np.mean(samples.tau > t))
+        stderr = math.sqrt(max(survive * (1.0 - survive), 0.0) / replicas)
+        out.append(CouplingBound(params, t, replicas, survive, stderr))
+    return out
 
 
 @dataclass
@@ -284,16 +269,6 @@ class DominatedPairSamples:
     pair_moves: int
 
 
-def _geometric_from_uniform(u: np.ndarray, log1m_q: np.ndarray | float) -> np.ndarray:
-    """Inverse-CDF geometric on {1, 2, ...}: floor(log(1-u)/log(1-q)) + 1.
-
-    Monotone in the success probability for a fixed uniform: a smaller q
-    (flatter log) gives a pathwise larger value, which is what makes the
-    shared-uniform clock comparison work.
-    """
-    return np.floor(np.log1p(-u) / log1m_q).astype(np.int64) + 1
-
-
 def dominated_pair_samples(
     kernel: CoupledKernel,
     x: int,
@@ -312,99 +287,19 @@ def dominated_pair_samples(
     forces a walk-increasing move (b <= 1/2), the walk's zero-hitting
     clock time can never precede the pair's meeting time.
     """
-    k = kernel.params.k
-    n = kernel.params.n
-    if not (0 <= y <= x <= k):
-        raise ValueError(f"start must satisfy 0 <= y <= x <= k, got ({x}, {y})")
-    if t_cap < 0:
-        raise ValueError("t_cap must be nonnegative")
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    tau = np.full(replicas, t_cap + 1, dtype=np.int64)
-    merged = np.zeros(replicas, dtype=bool)
-    tau_walk = np.full(replicas, t_cap + 1, dtype=np.int64)
-    walk_hit = np.zeros(replicas, dtype=bool)
-    if x == y:
-        tau[:] = 0
-        merged[:] = True
-        tau_walk[:] = 0
-        walk_hit[:] = True
-        return DominatedPairSamples(t_cap, tau, merged, tau_walk, walk_hit, 0, 0)
+    _check_batch(t_cap, replicas)
+    state, jump, met = _pair_process(kernel, x, y, replicas)
+    tally = [0, 0]  # D-increasing pair jumps, all pair jumps
 
-    q_walk = (float(k) / float(n)) ** 2
-    log1m_q_walk = math.log1p(-q_walk)
-    gid = np.arange(replicas)
-    ii = np.full(replicas, x, dtype=np.int64)
-    jj = np.full(replicas, y, dtype=np.int64)
-    xx = np.full(replicas, x - y, dtype=np.int64)
-    clock_pair = np.zeros(replicas, dtype=np.int64)
-    clock_walk = np.zeros(replicas, dtype=np.int64)
-    pair_live = np.ones(replicas, dtype=bool)
-    walk_live = np.ones(replicas, dtype=bool)
-    d_up_moves = 0
-    pair_moves = 0
+    def counted_jump(pair, u_move, u_clock):
+        nxt, hold = jump(pair, u_move, u_clock)
+        tally[0] += int((nxt[0] - nxt[1] > pair[0] - pair[1]).sum())
+        tally[1] += u_move.size
+        return nxt, hold
 
-    while gid.size:
-        size = gid.size
-        u_move = rng.random(size)
-        u_clock = rng.random(size)
-
-        live = pair_live[gid]
-        if live.any():
-            il, jl = ii[live], jj[live]
-            a, b, c, q = kernel.skeleton_thresholds(il, jl)
-            um = u_move[live]
-            with np.errstate(divide="ignore"):
-                log1m_q = np.log1p(-q)  # -inf when q == 1 (single forced move)
-            hold = _geometric_from_uniform(u_clock[live], log1m_q)
-            clock_pair[gid[live]] += hold
-            il = il + (um < a).astype(np.int64) - ((um >= b) & (um < c))
-            jl = jl + (um >= c).astype(np.int64) - ((um >= a) & (um < b))
-            ii[live] = il
-            jj[live] = jl
-            d_up_moves += int((um < b).sum())
-            pair_moves += int(live.sum())
-            met = il == jl
-            lid = gid[live]
-            done_time = clock_pair[lid]
-            ok = met & (done_time <= t_cap)
-            tau[lid[ok]] = done_time[ok]
-            merged[lid[ok]] = True
-            pair_live[lid[met | (done_time > t_cap)]] = False
-
-        wlive = walk_live[gid]
-        if wlive.any():
-            hold = _geometric_from_uniform(u_clock[wlive], log1m_q_walk)
-            wid = gid[wlive]
-            clock_walk[wid] += hold
-            xw = xx[wlive] + np.where(u_move[wlive] < 0.5, 1, -1)
-            xx[wlive] = xw
-            hit = xw == 0
-            done_time = clock_walk[wid]
-            ok = hit & (done_time <= t_cap)
-            tau_walk[wid[ok]] = done_time[ok]
-            walk_hit[wid[ok]] = True
-            walk_live[wid[hit | (done_time > t_cap)]] = False
-
-        keep = pair_live[gid] | walk_live[gid]
-        if not keep.all():
-            gid = gid[keep]
-            ii = ii[keep]
-            jj = jj[keep]
-            xx = xx[keep]
-
-    return DominatedPairSamples(t_cap, tau, merged, tau_walk, walk_hit, d_up_moves, pair_moves)
-
-
-def simulate_dominated_pair(
-    kernel: CoupledKernel,
-    x: int,
-    y: int,
-    t_cap: int,
-    rng: np.random.Generator,
-) -> tuple[int | None, int | None]:
-    """One path of (meeting time, dominating walk hitting time); None = capped."""
-    s = dominated_pair_samples(kernel, x, y, t_cap, 1, rng)
-    tau = int(s.tau[0]) if s.merged[0] else None
-    tau_walk = int(s.tau_walk[0]) if s.walk_hit[0] else None
-    return tau, tau_walk
+    k, n = kernel.params.k, kernel.params.n
+    walk = _walk_process(np.full(replicas, x - y, dtype=np.int64), (float(k) / float(n)) ** 2)
+    (tau, merged), (tau_walk, walk_hit) = _jump_chain(
+        [(state, counted_jump, met), walk], t_cap, rng
+    )
+    return DominatedPairSamples(t_cap, tau, merged, tau_walk, walk_hit, *tally)

@@ -106,15 +106,11 @@ def initial_configuration(params: ModelParams, mode: str = UNLABELED) -> Configu
     return Configuration(mode, cells)
 
 
-def draw_pair(n: int, rng: np.random.Generator) -> PairSelection:
-    """Uniform ordered pair of sites out of the n^2 possibilities."""
-    x = int(rng.integers(1, n + 1))
-    y = int(rng.integers(1, n + 1))
-    return PairSelection(x, y)
-
-
 def draw_pairs(n: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`draw_pair`: two int arrays of 1-based site indices."""
+    """``count`` uniform ordered site pairs out of the n^2 possibilities.
+
+    Returns two int arrays of 1-based site indices.
+    """
     x = rng.integers(1, n + 1, size=count)
     y = rng.integers(1, n + 1, size=count)
     return x, y

@@ -107,37 +107,22 @@ def run_sweep(config: ExperimentConfig) -> ResultRecord:
     return ResultRecord("sweep", meta, columns, rows)
 
 
-def _exact_d_at(params: exclusion.ModelParams, ts: list[int]) -> dict[int, float]:
-    """Exact d(t) at the requested times with one stride-1 evolution."""
-    kernel = lumped.build_kernel(params)
-    pi = lumped.equilibrium(params)
-    p = lumped.delta_at(params.k, params.k + 1)
-    want = sorted(set(ts))
-    out: dict[int, float] = {}
-    t = 0
-    for target in want:
-        p = lumped.evolve(p, kernel, target - t)
-        t = target
-        out[target] = lumped.tv_distance(p, pi)
-    return out
-
-
 def run_coupling_experiment(config: ExperimentConfig) -> ResultRecord:
     params = exclusion.ModelParams(config.n, config.k)
     x = config.x if config.x is not None else params.k
     y = config.y
-    d_exact = _exact_d_at(params, list(config.t_values))
+    pi = lumped.equilibrium(params)
+    laws = lumped.laws_at(params, config.t_values)
     n, k = params.n, params.k
     q_walk = (k / n) ** 2
     meta = _base_meta(config)
     meta.update(n=n, k=k, x=x, y=y, replicas=config.replicas)
     meta["center_large_k"] = center_large_k(n)
+    estimates = coupling_mod.coupling_tv_upper_bound(
+        params, config.t_values, config.replicas, replica_stream(config.seed, 0), x=x, y=y
+    )
     rows = []
-    for idx, t in enumerate(config.t_values):
-        rng = replica_stream(config.seed, idx)
-        est = coupling_mod.coupling_tv_upper_bound(
-            params, t, config.replicas, rng, x=x, y=y
-        )
+    for t, est in zip(config.t_values, estimates):
         alpha = (t - center_large_k(n)) / n - 1.0
         first_moment = math.exp(-alpha)
         walk_start = max(1, math.ceil(k * first_moment / math.sqrt(n)))
@@ -146,7 +131,7 @@ def run_coupling_experiment(config: ExperimentConfig) -> ResultRecord:
             (
                 t,
                 alpha,
-                d_exact[t],
+                lumped.tv_distance(laws[t], pi),
                 est.estimate,
                 est.stderr,
                 walk_start,
@@ -169,8 +154,7 @@ def run_coupling_experiment(config: ExperimentConfig) -> ResultRecord:
 
 def run_bounds_report(config: ExperimentConfig) -> ResultRecord:
     params = exclusion.ModelParams(config.n, config.k)
-    d_exact = _exact_d_at(params, list(config.t_values))
-    kernel = lumped.build_kernel(params)
+    laws = lumped.laws_at(params, config.t_values)
     pi = lumped.equilibrium(params)
     meta = _base_meta(config)
     meta.update(n=params.n, k=params.k, threshold=config.threshold, replicas=config.replicas)
@@ -187,19 +171,17 @@ def run_bounds_report(config: ExperimentConfig) -> ResultRecord:
             replicas=config.replicas,
             rng=replica_stream(config.seed, 2 * idx + 1),
         )
-        mu_t = lumped.evolve(lumped.delta_at(params.k, params.k + 1), kernel, t)
-        mean_gap = lumped.tv_lower_bound_second_moment(mu_t, pi)
         rows.append(
             (
                 t,
-                d_exact[t],
+                lumped.tv_distance(laws[t], pi),
                 coupon.value,
                 coupon.stderr,
                 coupon.chebyshev,
                 labeled.value,
                 labeled.stderr,
                 labeled.chebyshev,
-                mean_gap,
+                lumped.tv_lower_bound_second_moment(laws[t], pi),
             )
         )
     columns = [

@@ -333,6 +333,23 @@ def d_curve(params: ModelParams, t_max: int, stride: int = 1) -> MixingProfile:
     return MixingProfile(params, times, tv, stride)
 
 
+def laws_at(params: ModelParams, times) -> dict[int, np.ndarray]:
+    """Exact law of W_t from W_0 = k at each requested t, in one pass.
+
+    One stride-1 evolution visits the times in increasing order, so each
+    law is bit-identical to evolving the point mass t steps in one call.
+    """
+    kernel = build_kernel(params)
+    p = delta_at(params.k, params.k + 1)
+    out: dict[int, np.ndarray] = {}
+    t = 0
+    for target in sorted(set(times)):
+        p = evolve(p, kernel, target - t)
+        t = target
+        out[target] = p
+    return out
+
+
 def t_mix(profile: MixingProfile, eps: float) -> int | None:
     """Smallest sampled t with d(t) <= eps, or None when never reached.
 

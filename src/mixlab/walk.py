@@ -8,29 +8,28 @@ the window [-m+1, m] at time ``steps``: reflecting a killed path at its
 first zero visit pairs it with a free path that exits the window, and
 the lazy steps make the correspondence exact at every finite time.
 
-The free-walk window mass is computed by exact convolution of the
-three-point step distribution; an independent absorbing-boundary dynamic
-program over the positive half-line provides the cross-check, and a
-Gaussian evaluator covers the diffusive limit where m ~ alpha * s and
-steps ~ beta * s^2 / q.
+The free-walk window mass is an exact binomial mixture over the number
+of moves; an independent absorbing-boundary dynamic program over the
+positive half-line provides the cross-check, and a Gaussian evaluator
+covers the diffusive limit where m ~ alpha * s and steps ~ beta * s^2 / q.
+
+Simulation goes through the jump chain: a fair +1/-1 move per jump and
+a geometric holding time before it, both drawn from uniforms.  The same
+jump-chain engine and walk process also drive the dominating walk of
+:mod:`mixlab.coupling`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 #: Brute-force dynamic program is quadratic in steps; keep it honest.
 _BRUTEFORCE_STEP_CAP = 10_000
-
-#: Per-step probability mass allowed to fall off the clipped convolution
-#: window.  Total loss over any run stays far below every tolerance used.
-_CLIP_LOSS_CAP = 1e-14
-
-#: Tail mass threshold used when trimming the convolution support.
-_TRIM_TAIL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -48,53 +47,31 @@ class WalkParams:
 
 
 def _validate(m: int, steps: int, q: float) -> None:
-    if m < 1:
-        raise ValueError(f"start must be at least 1, got {m}")
+    WalkParams(q, m)
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"move probability must lie in (0, 1], got {q}")
+
+
+def _binom_cdf(k: np.ndarray, n: np.ndarray | int, p: float) -> np.ndarray:
+    """P[Bin(n, p) <= k] elementwise (0 for k < 0, 1 for k >= n), accurate
+    to a few ulps through the regularized incomplete beta function."""
+    inner = betainc(np.maximum(n - k, 1), np.maximum(k, 0) + 1, 1.0 - p)
+    return np.where(k < 0, 0.0, np.where(k >= n, 1.0, inner))
 
 
 def survival_exact(m: int, steps: int, q: float) -> float:
     """P[walk from m stays positive for ``steps`` steps], by reflection.
 
-    Evolves the free-walk law from 0 by convolving the step distribution
-    (q/2, 1-q, q/2) and returns the mass inside [-m+1, m].  The support
-    is trimmed once its tails drop below numerical relevance; the trimmed
-    mass is tracked and must stay below 1e-14 per step, keeping the
-    result exact to well under any tolerance in use.
+    The free walk from 0 makes M ~ Bin(steps, q) moves and then sits at
+    2 Bin(M, 1/2) - M; the result is its mass inside [-m+1, m], summed
+    over the move counts whose binomial weight is not zero in double
+    precision.
     """
     _validate(m, steps, q)
-    if steps == 0:
-        return 1.0
-    stencil = np.array([q / 2.0, 1.0 - q, q / 2.0])
-    pmf = np.array([1.0])
-    origin = 0  # index of lattice site 0 within pmf
-    lost = 0.0
-    trim_period = 64
-    for step_idx in range(steps):
-        pmf = np.convolve(pmf, stencil)
-        origin += 1
-        if step_idx % trim_period == trim_period - 1 and pmf.size > 512:
-            head = np.cumsum(pmf)
-            tail = np.cumsum(pmf[::-1])
-            lo = int(np.searchsorted(head, _TRIM_TAIL))
-            hi = int(np.searchsorted(tail, _TRIM_TAIL))
-            if lo or hi:
-                dropped = float(head[lo - 1] if lo else 0.0) + float(tail[hi - 1] if hi else 0.0)
-                if dropped > _CLIP_LOSS_CAP * trim_period:
-                    lo = hi = 0
-                    dropped = 0.0
-                if lo or hi:
-                    lost += dropped
-                    pmf = pmf[lo : pmf.size - hi]
-                    origin -= lo
-    lo_idx = max(origin - m + 1, 0)
-    hi_idx = min(origin + m, pmf.size - 1)
-    if lo_idx > hi_idx:
-        return 0.0
-    return float(pmf[lo_idx : hi_idx + 1].sum())
+    weights = np.diff(_binom_cdf(np.arange(-1, steps + 1), steps, q))
+    moves = np.flatnonzero(weights)
+    inside = _binom_cdf((moves + m) // 2, moves, 0.5) - _binom_cdf((moves - m) // 2, moves, 0.5)
+    return float(weights[moves] @ inside)
 
 
 def survival_bruteforce(m: int, steps: int, q: float) -> float:
@@ -120,6 +97,96 @@ def survival_bruteforce(m: int, steps: int, q: float) -> float:
     return float(p[1:].sum())
 
 
+def _geometric_from_uniform(u: np.ndarray, log1m_q: np.ndarray | float) -> np.ndarray:
+    """Inverse-CDF geometric on {1, 2, ...}: floor(log(1-u)/log(1-q)) + 1.
+
+    Monotone in the success probability for a fixed uniform: a smaller q
+    (flatter log) gives a pathwise larger value, which is what makes the
+    shared-uniform clock comparison work.  q = 1 (log1m_q = -inf) gives 1.
+    """
+    return np.floor(np.log1p(-u) / log1m_q).astype(np.int64) + 1
+
+
+def _check_batch(t_cap: int, replicas: int) -> None:
+    """Reject a negative time cap or an empty replica batch."""
+    if t_cap < 0:
+        raise ValueError("t_cap must be nonnegative")
+    if replicas < 1:
+        raise ValueError("replicas must be positive")
+
+
+def _jump_chain(processes: list, t_cap: int, rng: np.random.Generator) -> list:
+    """Run processes side by side through their jump chains on shared uniforms.
+
+    Each process is a triple (state, jump, absorbed): ``state`` is an int
+    array of shape (dims, replicas) holding the start, with the same
+    replicas for every process; ``jump(state, u_move, u_clock)`` returns
+    the state after one jump and the holding time spent before it;
+    ``absorbed(state)`` marks absorbing states, and a replica that starts
+    in one is absorbed at time 0.  Every round draws one move and one
+    clock uniform per replica that some process still runs, and each
+    process takes the uniforms of its own running replicas.  Returns
+    (times, hit) per process; times carry t_cap + 1 where the cap came
+    first.  ``state`` is overwritten with the state at absorption, or at
+    t_cap: a jump that lands after t_cap is discarded.
+    """
+    at_start = [absorbed(state) for state, _, absorbed in processes]
+    results = [(np.where(hit, 0, t_cap + 1), hit) for hit in at_start]
+    # working columns of the replicas in gid: state, clock and running flag
+    cur = [state.copy() for state, _, _ in processes]
+    clocks = [np.zeros(hit.size, dtype=np.int64) for hit in at_start]
+    running = [~hit for hit in at_start]
+    gid = np.arange(at_start[0].size)
+    while True:
+        keep = functools.reduce(np.logical_or, running)
+        if not keep.all():
+            gid = gid[keep]
+            cur = [c[:, keep] for c in cur]
+            clocks = [c[keep] for c in clocks]
+            running = [r[keep] for r in running]
+        if not gid.size:
+            return results
+        u_move = rng.random(gid.size)
+        u_clock = rng.random(gid.size)
+        for p, ((state, jump, absorbed), (times, hit)) in enumerate(zip(processes, results)):
+            run = running[p]
+            if not run.any():
+                continue
+            sel = slice(None) if run.all() else run
+            before = cur[p][:, sel]
+            nxt, hold = jump(before, u_move[sel], u_clock[sel])
+            when = clocks[p][sel] + hold
+            late = when > t_cap
+            done = absorbed(nxt) & ~late
+            still = ~(late | done)
+            if not still.all():
+                ids = gid[sel]
+                late, done = np.flatnonzero(late), np.flatnonzero(done)
+                times[ids[done]] = when[done]
+                hit[ids[done]] = True
+                state[:, ids[late]] = before[:, late]
+                state[:, ids[done]] = nxt[:, done]
+            if sel is run:
+                cur[p][:, sel], clocks[p][sel], run[sel] = nxt, when, still
+            else:  # every replica ran: take the new arrays as they are
+                cur[p], clocks[p], running[p] = nxt, when, still
+            del before, nxt, hold, when  # not held through the next draws
+
+
+def _walk_process(start: np.ndarray, q: float) -> tuple:
+    """The lazy walk from positions ``start`` as a :func:`_jump_chain` process.
+
+    A jump moves +1 when u_move < 1/2, else -1, after a geometric hold
+    with success probability q; the walk is absorbed at 0.
+    """
+    log1m_q = math.log1p(-q) if q < 1.0 else -math.inf
+
+    def jump(pos, u_move, u_clock):
+        return pos + np.where(u_move < 0.5, 1, -1), _geometric_from_uniform(u_clock, log1m_q)
+
+    return start[np.newaxis], jump, lambda pos: pos[0] == 0
+
+
 def hitting_time_samples(
     params: WalkParams,
     t_cap: int,
@@ -128,36 +195,14 @@ def hitting_time_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-hitting times for a replica batch, capped at t_cap.
 
-    Simulates the embedded jump chain (fair +1/-1 moves) with geometric
-    holding times of mean 1/q, which reproduces the lazy walk's law
+    Simulates the jump chain, which reproduces the lazy walk's law
     without stepping through individual hold steps.  Returns (times,
     hit); times carry the sentinel t_cap + 1 where the cap was reached.
     """
-    if t_cap < 0:
-        raise ValueError("t_cap must be nonnegative")
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    times = np.full(replicas, t_cap + 1, dtype=np.int64)
-    hit = np.zeros(replicas, dtype=bool)
-    gid = np.arange(replicas)
-    pos = np.full(replicas, params.start, dtype=np.int64)
-    clock = np.zeros(replicas, dtype=np.int64)
-    while gid.size:
-        clock += rng.geometric(params.q, size=gid.size)
-        pos += np.where(rng.random(gid.size) < 0.5, 1, -1)
-        reached = pos == 0
-        resolved = reached & (clock <= t_cap)
-        times[gid[resolved]] = clock[resolved]
-        hit[gid[resolved]] = True
-        keep = ~(reached | (clock > t_cap))
-        gid, pos, clock = gid[keep], pos[keep], clock[keep]
+    _check_batch(t_cap, replicas)
+    start = np.full(replicas, params.start, dtype=np.int64)
+    [(times, hit)] = _jump_chain([_walk_process(start, params.q)], t_cap, rng)
     return times, hit
-
-
-def simulate_hitting(params: WalkParams, t_cap: int, rng: np.random.Generator) -> int | None:
-    """First time the walk reaches 0, or None when t_cap passes first."""
-    times, hit = hitting_time_samples(params, t_cap, 1, rng)
-    return int(times[0]) if hit[0] else None
 
 
 def gaussian_limit(alpha: float, beta: float) -> float:

@@ -29,18 +29,6 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _exact_d_at(params: ModelParams, ts) -> dict[int, float]:
-    kernel = lumped.build_kernel(params)
-    pi = lumped.equilibrium(params)
-    p = lumped.delta_at(params.k, params.k + 1)
-    out, t = {}, 0
-    for target in sorted(set(ts)):
-        p = lumped.evolve(p, kernel, target - t)
-        t = target
-        out[target] = lumped.tv_distance(p, pi)
-    return out
-
-
 def test_01_lumping_identity():
     """Brute-force TV equals the lumped curve on every instance with n <= 8."""
     start = time.perf_counter()
@@ -307,13 +295,15 @@ def test_09_coupling_bounds_exact_d():
     t_c = math.floor(center_large_k(1000))
     # t_c - 2n is negative at this size; clamp to 0 where d(0) = 1 trivially
     ts = [max(0, t_c - 2000), t_c, t_c + 2000]
-    d_exact = _exact_d_at(params, ts)
+    pi = lumped.equilibrium(params)
+    laws = lumped.laws_at(params, ts)
+    d_exact = {t: lumped.tv_distance(law, pi) for t, law in laws.items()}
+    estimates = coupling_mod.coupling_tv_upper_bound(
+        params, ts, 100_000, replica_stream(SEED, 9, 0)
+    )
     results = []
     ok = True
-    for idx, t in enumerate(ts):
-        est = coupling_mod.coupling_tv_upper_bound(
-            params, t, 100_000, replica_stream(SEED, 9, idx)
-        )
+    for t, est in zip(ts, estimates):
         good = d_exact[t] <= est.estimate + 4.0 * est.stderr
         ok = ok and good
         results.append(f"t={t}: {d_exact[t]:.4f} <= {est.estimate:.4f}+4*{est.stderr:.1e}")
@@ -394,25 +384,21 @@ def test_12_lower_bound_dominance():
         (1000, 10, (200, 800, 1600)),
     ):
         params = ModelParams(n, k)
-        kernel = lumped.build_kernel(params)
         pi = lumped.equilibrium(params)
-        d_exact = _exact_d_at(params, ts)
-        p = lumped.delta_at(k, k + 1)
-        prev = 0
+        laws = lumped.laws_at(params, ts)
         for t in sorted(ts):
-            p = lumped.evolve(p, kernel, t - prev)
-            prev = t
             coupon = bounds_mod.unlabeled_tv_lower_bound(
                 params, t, replicas=20_000, rng=replica_stream(SEED, 12, sub)
             )
             sub += 1
-            mean_gap = lumped.tv_lower_bound_second_moment(p, pi)
+            mean_gap = lumped.tv_lower_bound_second_moment(laws[t], pi)
+            d_exact = lumped.tv_distance(laws[t], pi)
             for name, value in (
                 ("coupon", coupon.value),
                 ("coupon-chebyshev", coupon.chebyshev),
                 ("mean-gap", mean_gap),
             ):
-                if value > d_exact[t] + 1e-12:
+                if value > d_exact + 1e-12:
                     violations.append(f"{name} at n={n},k={k},t={t}")
     # labeled bound against the brute-force labeled distance
     for n, k in ((6, 2), (6, 3)):

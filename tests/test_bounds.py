@@ -13,7 +13,6 @@ from mixlab.bounds import (
     collector_moments,
     geometric_sum_samples,
     labeled_tv_lower_bound,
-    simulate_collection_time,
     single_draw_collection_samples,
     unlabeled_tv_lower_bound,
 )
@@ -117,7 +116,7 @@ def test_sampler_determinism_and_single_draw():
     a = single_draw_collection_samples(spec, 300, replica_stream(41, 6))
     b = single_draw_collection_samples(spec, 300, replica_stream(41, 6))
     np.testing.assert_array_equal(a, b)
-    value = simulate_collection_time(spec, replica_stream(41, 7))
+    value = collection_time_samples(spec, 1, replica_stream(41, 7))[0]
     assert value >= 3
     with pytest.raises(ValueError):
         single_draw_collection_samples(spec, 0, replica_stream(41, 8))

@@ -13,8 +13,6 @@ from mixlab.coupling import (
     dominated_pair_samples,
     expected_merge_time_exact,
     merge_time_samples,
-    simulate_dominated_pair,
-    simulate_merge,
 )
 from mixlab.lumped import build_kernel, d_curve
 
@@ -68,9 +66,9 @@ def test_transition_row_rejects_unordered_state():
 def test_move_thresholds_are_cumulative():
     coupled = build_coupled_kernel(ModelParams(10, 3))
     ii, jj = np.tril_indices(4, k=-1)
-    c1, c2, c3, c4 = coupled.move_thresholds(ii, jj)
-    assert (c1 <= c2).all() and (c2 <= c3).all() and (c3 <= c4).all()
-    assert (c1 >= 0).all() and (c4 <= 1.0).all()
+    a, b, c, q = coupled.skeleton_thresholds(ii, jj)
+    assert (a <= b).all() and (b <= c).all() and (c <= 1.0).all()
+    assert (a >= 0).all() and (q > 0).all() and (q <= 1.0).all()
 
 
 def test_skeleton_invariants_frozen_example():
@@ -101,6 +99,46 @@ def test_merge_samples_match_exact_mean():
     exact = expected_merge_time_exact(coupled, 2, 0)
     stderr = samples.tau.std(ddof=1) / math.sqrt(samples.tau.size)
     assert abs(samples.tau.mean() - exact) < 4.0 * stderr
+
+
+def _exact_merge_tail(coupled, x, y, ts):
+    """P[meeting time > t] by dense evolution over the transient pair states."""
+    k = coupled.params.k
+    transient = [(i, j) for i in range(k + 1) for j in range(i)]
+    index = {state: idx for idx, state in enumerate(transient)}
+    sub = np.zeros((len(transient), len(transient)))
+    for (i, j), row_idx in index.items():
+        for (i2, j2), p in coupled.transition_row(i, j):
+            if i2 != j2:
+                sub[row_idx, index[(i2, j2)]] += p
+    alive = np.zeros(len(transient))
+    alive[index[(x, y)]] = 1.0
+    out, t = {}, 0
+    for target in sorted(ts):
+        for _ in range(target - t):
+            alive = alive @ sub
+        t = target
+        out[target] = float(alive.sum())
+    return out
+
+
+def test_merge_tail_matches_exact_evolution():
+    """The jump-chain sampler's P[tau > t] against the exact substochastic evolution."""
+    coupled = build_coupled_kernel(ModelParams(20, 5))
+    ts = [3, 10, 25, 50, 90]
+    exact = _exact_merge_tail(coupled, 5, 0, ts)
+    replicas = 40_000
+    samples = merge_time_samples(coupled, 5, 0, max(ts), replicas, replica_stream(21, 10))
+    for t in ts:
+        sigma = math.sqrt(exact[t] * (1.0 - exact[t]) / replicas)
+        assert 0.0 < exact[t] < 1.0
+        assert abs(float(np.mean(samples.tau > t)) - exact[t]) < 4.0 * sigma
+    # the bound reads every time off one batch drawn from the same stream
+    bounds = coupling_tv_upper_bound(
+        coupled.params, ts, replicas, replica_stream(21, 10), x=5, y=0
+    )
+    assert [b.t for b in bounds] == ts
+    assert [b.estimate for b in bounds] == [float(np.mean(samples.tau > t)) for t in ts]
 
 
 def test_coupled_pair_stays_ordered():
@@ -161,15 +199,15 @@ def test_dominated_pair_never_beats_walk():
 
 def test_single_path_helpers():
     coupled = build_coupled_kernel(ModelParams(10, 3))
-    merge = simulate_merge(coupled, 3, 0, 500, replica_stream(21, 5))
-    assert merge is None or 0 <= merge <= 500
-    tau, tau_walk = simulate_dominated_pair(coupled, 3, 0, 500, replica_stream(21, 7))
-    if tau_walk is not None:
-        assert tau is not None and tau <= tau_walk
+    merge = merge_time_samples(coupled, 3, 0, 500, 1, replica_stream(21, 5))
+    assert not merge.merged[0] or 0 <= merge.tau[0] <= 500
+    pair = dominated_pair_samples(coupled, 3, 0, 500, 1, replica_stream(21, 7))
+    if pair.walk_hit[0]:
+        assert pair.merged[0] and pair.tau[0] <= pair.tau_walk[0]
 
 
 def test_coupling_bound_is_trivial_at_time_zero():
-    bound = coupling_tv_upper_bound(ModelParams(30, 6), 0, 100, replica_stream(21, 8))
+    (bound,) = coupling_tv_upper_bound(ModelParams(30, 6), [0], 100, replica_stream(21, 8))
     assert bound.estimate == 1.0
     assert bound.stderr == 0.0
 
@@ -177,7 +215,7 @@ def test_coupling_bound_is_trivial_at_time_zero():
 def test_coupling_bound_dominates_exact_distance():
     params = ModelParams(30, 6)
     t = 60
-    bound = coupling_tv_upper_bound(params, t, 40_000, replica_stream(21, 9))
+    (bound,) = coupling_tv_upper_bound(params, [t], 40_000, replica_stream(21, 9))
     exact = d_curve(params, t).tv[-1]
     assert 0.0 <= bound.estimate <= 1.0
     assert bound.replicas == 40_000 and bound.t == t

@@ -71,8 +71,8 @@ def test_step_swaps_and_noop():
 def test_step_conserves_particles():
     rng = replica_stream(7, 0)
     config = exclusion.initial_configuration(ModelParams(8, 3), LABELED)
-    for _ in range(200):
-        config = exclusion.step(config, exclusion.draw_pair(8, rng))
+    for x, y in zip(*exclusion.draw_pairs(8, 200, rng)):
+        config = exclusion.step(config, PairSelection(int(x), int(y)))
     assert sorted(v for v in config.cells if v) == [1, 2, 3]
     assert config.n == 8 and config.k == 3
 
@@ -95,8 +95,8 @@ def test_draw_pairs_range_and_determinism():
     np.testing.assert_array_equal(y1, y2)
     assert x1.min() >= 1 and x1.max() <= 9
     assert y1.min() >= 1 and y1.max() <= 9
-    sel = exclusion.draw_pair(9, replica_stream(3, 2))
-    assert 1 <= sel.x <= 9 and 1 <= sel.y <= 9
+    (x,), (y,) = exclusion.draw_pairs(9, 1, replica_stream(3, 2))
+    assert 1 <= x <= 9 and 1 <= y <= 9
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3)])

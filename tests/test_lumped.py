@@ -19,6 +19,7 @@ from mixlab.lumped import (
     eigenfunction_check,
     equilibrium,
     evolve,
+    laws_at,
     mean_w_closed_form,
     mixing_times,
     second_moment_closed_form,
@@ -206,6 +207,18 @@ def test_d_curve_stride_subsamples():
         d_curve(params, -1)
     with pytest.raises(ValueError):
         d_curve(params, 10, stride=0)
+
+
+def test_laws_at_matches_one_call_evolution():
+    """One pass over sorted times gives the bits of evolving each t afresh."""
+    params = ModelParams(60, 12)
+    kernel = build_kernel(params)
+    laws = laws_at(params, [40, 0, 7, 40, 150])
+    assert sorted(laws) == [0, 7, 40, 150]
+    for t, law in laws.items():
+        np.testing.assert_array_equal(law, evolve(delta_at(12, 13), kernel, t))
+    with pytest.raises(ValueError):
+        laws_at(params, [-1])
 
 
 def test_t_mix_and_mixing_times_agree():

@@ -12,7 +12,6 @@ from mixlab.walk import (
     diffusion_majorant,
     gaussian_limit,
     hitting_time_samples,
-    simulate_hitting,
     survival_bruteforce,
     survival_exact,
 )
@@ -37,7 +36,7 @@ def test_exact_matches_bruteforce(q):
 
 
 def test_exact_matches_bruteforce_long_horizon():
-    # long horizons exercise the tail-trimming branch of the convolution
+    # a long horizon puts a thousand move counts into the binomial mixture
     assert survival_exact(10, 3000, 0.3) == pytest.approx(
         survival_bruteforce(10, 3000, 0.3), abs=1e-12
     )
@@ -90,14 +89,21 @@ def test_hitting_times_match_exact_survival():
         assert abs(emp - ref) < 4.0 * sigma
 
 
+def test_hit_landing_on_the_cap_counts():
+    """With q = 1 every step moves, so from 1 half the paths hit 0 at time 1."""
+    times, hit = hitting_time_samples(WalkParams(1.0, 1), 1, 2000, replica_stream(31, 4))
+    assert hit.any() and not hit.all()
+    assert (times[hit] == 1).all() and (times[~hit] == 2).all()
+
+
 def test_hitting_validation_and_single_path():
     params = WalkParams(0.5, 1)
     with pytest.raises(ValueError):
         hitting_time_samples(params, -1, 10, replica_stream(31, 1))
     with pytest.raises(ValueError):
         hitting_time_samples(params, 10, 0, replica_stream(31, 2))
-    value = simulate_hitting(params, 1000, replica_stream(31, 3))
-    assert value is None or 1 <= value <= 1000
+    times, hit = hitting_time_samples(params, 1000, 1, replica_stream(31, 3))
+    assert not hit[0] or 1 <= times[0] <= 1000
 
 
 def test_gaussian_limit_against_quadrature():
