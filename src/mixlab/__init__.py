@@ -27,7 +27,6 @@ from .exclusion import (
     brute_force_tv,
     fixed_points,
     initial_configuration,
-    simulate_w_trajectory,
     step,
     w_statistic,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "mixing_times",
     "replica_stream",
     "second_moment_closed_form",
-    "simulate_w_trajectory",
     "step",
     "survival_bruteforce",
     "survival_exact",

@@ -6,7 +6,8 @@
 Subcommands mirror the experiment kinds: tv-curve, sweep, coupling,
 bounds, hitting, oracle-check.  The config file is a JSON object; the
 optional flags override the matching config keys.  Exit status: 0 on
-success, 1 for an invalid config (every problem is listed on stderr),
+success, 1 for an invalid config (every problem is listed on stderr) or
+an infeasible run, such as a threshold not reached within the horizon,
 2 when oracle-check finds a violated identity.
 """
 
@@ -68,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in exc.failures:
             print(f"oracle violation: {name}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_record(record, config.out, config.format)

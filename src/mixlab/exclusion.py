@@ -143,40 +143,6 @@ def fixed_points(config: Configuration) -> int:
     return sum(1 for i, v in enumerate(config.cells[: config.k], start=1) if v == i)
 
 
-def simulate_w_trajectory(
-    params: ModelParams,
-    t_max: int,
-    rng: np.random.Generator,
-    initial: Configuration | None = None,
-) -> list[int]:
-    """One sampled path of the block statistic, length t_max + 1.
-
-    The update never touches the full configuration distribution; each
-    step swaps two cells and adjusts W incrementally.  The increment is
-    (occupied(y) - occupied(x)) * (x in block) - (same) * (y in block),
-    which is nonzero only when a particle crosses the block boundary.
-    """
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
-    config = initial if initial is not None else initial_configuration(params)
-    if config.n != params.n or config.k != params.k:
-        raise ValueError("initial configuration does not match params")
-    n, k = params.n, params.k
-    cells = list(config.cells)
-    w = sum(1 for v in cells[:k] if v != 0)
-    path = [w]
-    for _ in range(t_max):
-        x = int(rng.integers(0, n))
-        y = int(rng.integers(0, n))
-        vx, vy = cells[x], cells[y]
-        if vx != vy:
-            cells[x], cells[y] = vy, vx
-            dw = (int(vy != 0) - int(vx != 0)) * (int(x < k) - int(y < k))
-            w += dw
-        path.append(w)
-    return path
-
-
 def simulate_w_trajectories(
     params: ModelParams,
     t_max: int,
@@ -184,9 +150,12 @@ def simulate_w_trajectories(
     rng: np.random.Generator,
     initial: Configuration | None = None,
 ) -> np.ndarray:
-    """Replica-parallel version of :func:`simulate_w_trajectory`.
+    """Sampled paths of the block statistic W, one row per replica.
 
-    Returns an int array of shape (replicas, t_max + 1).
+    Returns an int array of shape (replicas, t_max + 1).  Each step swaps
+    two cells and adjusts W incrementally: the increment is
+    (occupied(y) - occupied(x)) * (x in block) - (same) * (y in block),
+    which is nonzero only when a particle crosses the block boundary.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")

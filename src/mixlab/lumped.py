@@ -11,7 +11,9 @@ tridiagonal kernel
 and hypergeometric stationary law.  The holding probability never drops
 below 1/2, so the chain is lazy.  Everything in this module is exact
 double-precision linear algebra on vectors of length k + 1; the only
-approximation anywhere is float rounding.
+approximations anywhere are float rounding and the subnormal flush: an
+evolved entry that falls below the smallest normal double (2.2e-308) is
+set to zero, so at most (k + 1) * steps * 2.2e-308 of mass is dropped.
 
 Two closed forms drive the moment machinery: the conditional mean of a
 step is affine in W, so E[W_t] relaxes geometrically with factor 1 - 2/n
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,6 +42,21 @@ _N_EXACT_CAP = 10_000_000
 _MASS_DRIFT = 1e-12
 _MASS_HARD = 1e-10
 
+#: Evolved entries below the smallest normal double are flushed to zero.
+#: A subnormal times stay(i) >= 1/2 rounds back to itself, so without the
+#: flush a tail far below the double range sits near 5e-324 forever, and
+#: arithmetic on subnormals is several times slower than on normal data.
+_TINY = float(np.finfo(float).tiny)
+
+#: Upward steps of d(t) up to this size are float wobble and are clamped;
+#: a larger one is an error.
+_TV_WOBBLE = 1e-12
+
+#: Distances are computed for blocks of up to this many laws at once,
+#: fewer when k is large so that a block stays near _BLOCK_BYTES.
+_BLOCK_ROWS = 64
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class BirthDeathKernel:
@@ -52,6 +70,18 @@ class BirthDeathKernel:
     @property
     def size(self) -> int:
         return self.params.k + 1
+
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        """Rows up(j - 1), stay(j), down(j + 1): the weights of the left,
+        middle and right neighbour in entry j of a step, zero where there
+        is no such neighbour."""
+        coef = np.zeros((3, self.size))
+        coef[0, 1:] = self.up[:-1]
+        coef[1] = self.stay
+        coef[2, :-1] = self.down[1:]
+        coef.setflags(write=False)
+        return coef
 
 
 @dataclass(frozen=True)
@@ -134,28 +164,134 @@ def delta_at(index: int, size: int) -> np.ndarray:
     return d
 
 
+class _Stepper:
+    """One law of the chain, stepped in place over its normal-range window.
+
+    Two buffers of length k + 3 hold the current and the next law between
+    zero pads.  Outside the window [lo, hi] the current law is exactly
+    zero, so a step only computes the entries lo - 1 .. hi + 1; new edge
+    entries below the smallest normal double are flushed and the window
+    shrinks past them.  Inside the window a step is the dense update's
+    float arithmetic entry for entry: ``p*stay``, plus the up term, plus
+    the down term, then the mass check.  The three products come from one
+    multiply of a (3, w) view of the left, middle and right neighbours by
+    the matching kernel rows.
+    """
+
+    def __init__(self, kernel: BirthDeathKernel, dist: np.ndarray):
+        size = kernel.size
+        self.k = size - 1
+        self.coef = kernel._coefficients
+        self.terms = np.empty((3, size))
+        self.buf = np.zeros((2, size + 2))
+        self.laws = self.buf[:, 1:-1]
+        self.edges = (memoryview(self.buf[0]), memoryview(self.buf[1]))
+        # neighbours[b][:, j] holds the entries j - 1, j, j + 1 of buffer b's law
+        item = self.buf.itemsize
+        self.neighbours = np.ndarray(
+            (2, 3, size), float, self.buf, 0, (item * (size + 2), item, item)
+        )
+        self.neighbours.setflags(write=False)
+        self.views: list[tuple | None] = [None, None]
+        support = (dist >= _TINY).nonzero()[0]
+        self.lo, self.hi = int(support[0]), int(support[-1])
+        self.laws[0, self.lo : self.hi + 1] = dist[self.lo : self.hi + 1]
+        self.cur = 0
+
+    def law(self) -> np.ndarray:
+        """A copy of the current law, with any subnormal entry flushed."""
+        out = self.laws[self.cur].copy()
+        out[out < _TINY] = 0.0
+        return out
+
+    def advance(self, steps: int, rows=(None,)) -> None:
+        """For each entry of ``rows``, take ``steps`` steps, then copy the
+        law into that row unless it is None."""
+        k, lo, hi, cur = self.k, self.lo, self.hi, self.cur
+        laws, edges, views = self.laws, self.edges, self.views
+        multiply, add, add_reduce = np.multiply, np.add, np.add.reduce
+        for row in rows:
+            for _ in range(steps):
+                dst = 1 - cur
+                nlo = lo - 1 if lo else 0
+                nhi = hi + 1 if hi < k else k
+                view = views[cur]
+                if view is None or view[0] != nlo or view[1] != nhi:
+                    terms = self.terms[:, : nhi - nlo + 1]
+                    view = views[cur] = (
+                        nlo,
+                        nhi,
+                        self.neighbours[cur][:, nlo : nhi + 1],
+                        self.coef[:, nlo : nhi + 1],
+                        terms,
+                        *terms,
+                        laws[dst][nlo : nhi + 1],
+                    )
+                _, _, near, coef, terms, up_term, stay_term, down_term, new = view
+                multiply(near, coef, out=terms)
+                add(stay_term, up_term, out=new)
+                add(new, down_term, out=new)
+                mass = add_reduce(new)
+                if abs(mass - 1.0) > _MASS_DRIFT:
+                    new /= mass
+                edge = edges[dst]
+                if edge[nlo + 1] < _TINY or edge[nhi + 1] < _TINY:
+                    while edge[nlo + 1] < _TINY and nlo < nhi:
+                        edge[nlo + 1] = 0.0
+                        nlo += 1
+                    while edge[nhi + 1] < _TINY and nlo < nhi:
+                        edge[nhi + 1] = 0.0
+                        nhi -= 1
+                    # the source is the next step's target: clear it beyond that step's reach
+                    if lo < nlo - 1:
+                        laws[cur][lo : nlo - 1] = 0.0
+                    if hi > nhi + 1:
+                        laws[cur][nhi + 2 : hi + 1] = 0.0
+                lo, hi, cur = nlo, nhi, dst
+            if row is not None:
+                row[...] = laws[cur]
+        self.lo, self.hi, self.cur = lo, hi, cur
+
+
+def _distances(stepper: _Stepper, pi: np.ndarray, stride: int, count: int):
+    """Yield d at ``count`` laws ``stride`` steps apart, starting with the
+    stepper's current law, one block of laws at a time.
+
+    A block's distances come from one ``0.5*abs(block - pi).sum(axis=1)``,
+    which sums each row exactly as :func:`tv_distance` sums one law.
+    """
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * pi.size)))
+    block = np.empty((rows, pi.size))
+    done = 0
+    while done < count:
+        part = block[: min(rows, count - done)]
+        if done == 0:
+            part[0] = stepper.laws[stepper.cur]
+            stepper.advance(stride, part[1:])
+        else:
+            stepper.advance(stride, part)
+        np.subtract(part, pi, out=part)
+        np.abs(part, out=part)
+        yield 0.5 * part.sum(axis=1)
+        done += part.shape[0]
+
+
 def evolve(dist: np.ndarray, kernel: BirthDeathKernel, steps: int) -> np.ndarray:
     """Push a distribution forward ``steps`` steps, O(k) work per step.
 
     Mass is renormalized whenever float drift exceeds 1e-12, so long
-    evolutions cannot accumulate leakage.
+    evolutions cannot accumulate leakage.  Entries below the smallest
+    normal double are flushed to zero, so the result has none.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    p = np.array(dist, dtype=float)
+    p = np.asarray(dist, dtype=float)
     if p.shape != (kernel.size,):
         raise ValueError(f"distribution has length {p.size}, kernel needs {kernel.size}")
     check_distribution(p)
-    up, down, stay = kernel.up, kernel.down, kernel.stay
-    for _ in range(steps):
-        new = p * stay
-        new[1:] += p[:-1] * up[:-1]
-        new[:-1] += p[1:] * down[1:]
-        mass = new.sum()
-        if abs(mass - 1.0) > _MASS_DRIFT:
-            new /= mass
-        p = new
-    return p
+    stepper = _Stepper(kernel, p)
+    stepper.advance(steps)
+    return stepper.law()
 
 
 def tv_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -311,7 +447,9 @@ def eigenfunction_check(kernel: BirthDeathKernel) -> float:
 def d_curve(params: ModelParams, t_max: int, stride: int = 1) -> MixingProfile:
     """Exact distance curve d(t) = TV(law of W_t from W_0 = k, stationary).
 
-    Samples t = 0, stride, 2*stride, ... up to t_max.
+    Samples t = 0, stride, 2*stride, ... up to t_max.  Float wobble can
+    lift d by up to 1e-12 from one sample to the next; such steps are
+    clamped, and a larger rise raises RuntimeError.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
@@ -319,14 +457,18 @@ def d_curve(params: ModelParams, t_max: int, stride: int = 1) -> MixingProfile:
         raise ValueError("stride must be positive")
     kernel = build_kernel(params)
     pi = equilibrium(params)
-    p = delta_at(params.k, params.k + 1)
+    stepper = _Stepper(kernel, delta_at(params.k, params.k + 1))
     times = np.arange(0, t_max + 1, stride)
     tv = np.empty(times.size)
-    tv[0] = tv_distance(p, pi)
-    for idx in range(1, times.size):
-        p = evolve(p, kernel, stride)
-        tv[idx] = tv_distance(p, pi)
-    # guard against 1e-16-scale float wobble in the tail of the curve
+    done = 0
+    for block in _distances(stepper, pi, stride, times.size):
+        tv[done : done + block.size] = block
+        done += block.size
+    # clamp float wobble in the tail of the curve; anything larger is an error
+    if tv.size > 1:
+        rise = float(np.diff(tv).max())
+        if rise > _TV_WOBBLE:
+            raise RuntimeError(f"d(t) rose by {rise:.3g} between samples, beyond float wobble")
     np.minimum.accumulate(tv, out=tv)
     times.setflags(write=False)
     tv.setflags(write=False)
@@ -389,20 +531,17 @@ def mixing_times(
     horizon = t_limit if t_limit is not None else default_horizon(params, eps_list[-1])
     kernel = build_kernel(params)
     pi = equilibrium(params)
-    p = delta_at(params.k, params.k + 1)
+    stepper = _Stepper(kernel, delta_at(params.k, params.k + 1))
     out: dict[float, int] = {}
     pending = list(eps_list)
     t = 0
-    tv = tv_distance(p, pi)
-    while True:
-        while pending and tv <= pending[0]:
-            out[pending.pop(0)] = t
+    for tv in _distances(stepper, pi, 1, max(horizon, 0) + 1):
+        while pending:
+            hits = np.flatnonzero(tv <= pending[0])
+            if hits.size == 0:
+                break
+            out[pending.pop(0)] = t + int(hits[0])
         if not pending:
             return out
-        if t >= horizon:
-            raise RuntimeError(
-                f"d(t) did not reach eps={pending[0]} within the horizon {horizon}"
-            )
-        p = evolve(p, kernel, 1)
-        tv = tv_distance(p, pi)
-        t += 1
+        t += tv.size
+    raise RuntimeError(f"d(t) did not reach eps={pending[0]} within the horizon {horizon}")

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from mixlab import cli, lumped
 from mixlab.config import parse_config
 from mixlab.experiments import OracleFailure, run_experiment, run_oracle_check
 from mixlab.lumped import BirthDeathKernel, build_kernel
@@ -105,6 +106,21 @@ def test_cli_requires_subcommand_and_config(tmp_path):
         result = _run_cli(args, tmp_path)
         assert result.returncode == 1
         assert result.stderr.startswith("usage: mixlab"), result.stderr
+
+
+def test_cli_horizon_error_exits_cleanly(tmp_path, monkeypatch, capsys):
+    """A threshold not reached within the horizon is exit 1, not a traceback."""
+    monkeypatch.setattr(lumped, "default_horizon", lambda params, eps_min: 5)
+    cfg = _write_config(
+        tmp_path,
+        "c.json",
+        {"kind": "sweep", "n_grid": [40, 60, 80], "k_rule": {"kind": "fraction", "value": 0.2}},
+    )
+    assert cli.main(["sweep", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: d(t) did not reach eps=")
+    assert "within the horizon 5" in captured.err
 
 
 def test_cli_oracle_check_passes(tmp_path):

@@ -183,14 +183,13 @@ def test_conditional_uniformity_given_block_count():
 
 def test_w_trajectory_steps_and_bounds():
     params = ModelParams(10, 3)
-    path = exclusion.simulate_w_trajectory(params, 400, replica_stream(11, 0))
-    arr = np.array(path)
+    arr = exclusion.simulate_w_trajectories(params, 400, 1, replica_stream(11, 0))[0]
     assert arr.shape == (401,)
     assert arr[0] == 3
     assert arr.min() >= 0 and arr.max() <= 3
     assert np.isin(np.diff(arr), (-1, 0, 1)).all()
     with pytest.raises(ValueError):
-        exclusion.simulate_w_trajectory(params, -1, replica_stream(11, 9))
+        exclusion.simulate_w_trajectories(params, -1, 1, replica_stream(11, 9))
 
 
 def test_w_trajectories_batch_shape_and_increments():
@@ -209,7 +208,7 @@ def test_mismatched_initial_rejected():
     params = ModelParams(10, 3)
     other = exclusion.initial_configuration(ModelParams(10, 4))
     with pytest.raises(ValueError):
-        exclusion.simulate_w_trajectory(params, 5, replica_stream(0, 0), initial=other)
+        exclusion.simulate_w_trajectories(params, 5, 1, replica_stream(0, 0), initial=other)
     with pytest.raises(ValueError):
         exclusion.simulate_w_trajectories(params, 5, 3, replica_stream(0, 0), initial=other)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixlab import ModelParams
+from mixlab import ModelParams, lumped
 from mixlab.lumped import (
     MixingProfile,
     build_kernel,
@@ -219,6 +219,142 @@ def test_laws_at_matches_one_call_evolution():
         np.testing.assert_array_equal(law, evolve(delta_at(12, 13), kernel, t))
     with pytest.raises(ValueError):
         laws_at(params, [-1])
+
+
+TINY = np.finfo(float).tiny
+
+
+def _dense_evolve(p, kernel, steps):
+    """The plain stepwise update over all k + 1 entries, without any flush."""
+    for _ in range(steps):
+        new = p * kernel.stay
+        new[1:] += p[:-1] * kernel.up[:-1]
+        new[:-1] += p[1:] * kernel.down[1:]
+        mass = new.sum()
+        if abs(mass - 1.0) > 1e-12:
+            new /= mass
+        p = new
+    return p
+
+
+def _dense_curve(params, t_max, stride=1):
+    """d(t) at t = 0, stride, ... by the dense update, one tv_distance per law."""
+    kernel, pi = build_kernel(params), equilibrium(params)
+    p = delta_at(params.k, params.k + 1)
+    tv = [tv_distance(p, pi)]
+    for _ in range(t_max // stride):
+        p = _dense_evolve(p, kernel, stride)
+        tv.append(tv_distance(p, pi))
+    return np.minimum.accumulate(np.array(tv)), p
+
+
+def _has_subnormal(p):
+    return bool(((p > 0.0) & (p < TINY)).any())
+
+
+@pytest.mark.parametrize("n,k,t_max", [(2000, 400, 5000), (500, 10, 1500)])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_d_curve_bits_match_dense_stepping(n, k, t_max, stride):
+    """The windowed engine and the block distances give the dense curve's bits."""
+    params = ModelParams(n, k)
+    ref, last = _dense_curve(params, t_max, stride)
+    if k == 400:
+        assert _has_subnormal(last)  # the dense tail went subnormal: the flush was exercised
+    np.testing.assert_array_equal(d_curve(params, t_max, stride).tv, ref)
+
+
+@pytest.mark.parametrize("start", ["point", "equilibrium"])
+def test_evolve_matches_dense_stepping_above_the_flush(start):
+    """Laws agree bit for bit except where the dense law is near the double range's
+    bottom, and differ by at most the flush bound (k + 1) * steps * tiny."""
+    params, steps = ModelParams(2000, 400), 5000
+    kernel = build_kernel(params)
+    p0 = delta_at(400, 401) if start == "point" else equilibrium(params)
+    got, ref = evolve(p0, kernel, steps), _dense_evolve(p0, kernel, steps)
+    normal = ref >= 1e-290
+    np.testing.assert_array_equal(got[normal], ref[normal])
+    assert np.abs(got - ref).sum() <= 401 * steps * TINY
+    small = ModelParams(500, 10)
+    for p0 in (delta_at(10, 11), equilibrium(small)):
+        np.testing.assert_array_equal(
+            evolve(p0, build_kernel(small), 700), _dense_evolve(p0, build_kernel(small), 700)
+        )
+
+
+def test_evolve_returns_no_subnormal_entries():
+    params = ModelParams(2000, 400)
+    kernel = build_kernel(params)
+    pi = equilibrium(params)
+    assert _has_subnormal(pi)
+    for p0, steps in ((delta_at(400, 401), 5000), (pi, 0), (pi, 3)):
+        law = evolve(p0, kernel, steps)
+        assert not _has_subnormal(law)
+        assert law.min() >= 0.0
+    for law in laws_at(params, [0, 4000, 6000]).values():
+        assert not _has_subnormal(law)
+    # between two far modes the law holds subnormals that no window edge reaches
+    far = ModelParams(10**6, 400)
+    p0 = np.zeros(401)
+    p0[0] = p0[400] = 0.5
+    ref, law = _dense_evolve(p0, build_kernel(far), 200), evolve(p0, build_kernel(far), 200)
+    assert _has_subnormal(ref) and not _has_subnormal(law)
+    normal = ref >= 1e-290
+    np.testing.assert_array_equal(law[normal], ref[normal])
+
+
+def test_window_shrinks_past_the_flushed_tail():
+    """The engine stops stepping the entries the dense law holds as subnormals."""
+    params = ModelParams(2000, 400)
+    kernel = build_kernel(params)
+    stepper = lumped._Stepper(kernel, delta_at(400, 401))
+    stepper.advance(5000)
+    ref = _dense_evolve(delta_at(400, 401), kernel, 5000)
+    tail = np.flatnonzero((ref > 0.0) & (ref < TINY))
+    assert tail.size and (tail > stepper.hi).all()
+    law = stepper.laws[stepper.cur]
+    assert law[stepper.lo] >= TINY and law[stepper.hi] >= TINY
+
+
+@pytest.mark.parametrize("edge", [0, 10])
+def test_evolve_clears_a_tail_flushed_in_one_step(edge):
+    """A far edge entry that drops below the normal range takes the zeros
+    between it and the bulk with it, and no later law holds it again."""
+    kernel = build_kernel(ModelParams(20, 10))  # stay = 1/2 at both ends
+    p0 = delta_at(10 - edge, 11)
+    p0[edge] = 2.5e-308
+    for steps in (1, 2, 3):
+        ref, law = _dense_evolve(p0, kernel, steps), evolve(p0, kernel, steps)
+        np.testing.assert_array_equal(law[ref >= TINY], ref[ref >= TINY])
+        assert (law[ref < TINY] == 0.0).all()
+
+
+def test_mixing_times_crossing_on_block_boundaries():
+    """Crossings at the last and first laws of a block of 64, and a horizon equal
+    to the crossing time, give the dense scan's answers."""
+    params = ModelParams(60, 12)
+    ref, _ = _dense_curve(params, 200)
+    eps_at = {t: float(ref[t]) for t in (63, 64, 65)}
+    assert ref[62] > ref[63] > ref[64] > ref[65] > ref[66]
+    times = mixing_times(params, tuple(eps_at.values()))
+    assert times == {eps: t for t, eps in eps_at.items()}
+    for t, eps in eps_at.items():
+        assert mixing_times(params, (eps,), t_limit=t) == {eps: t}
+        with pytest.raises(RuntimeError):
+            mixing_times(params, (eps,), t_limit=t - 1)
+
+
+def test_d_curve_rejects_a_rise_beyond_wobble(monkeypatch):
+    """Rises up to 1e-12 are clamped; a 1e-9 rise is an error, not clamped away."""
+    params = ModelParams(40, 8)
+
+    def fake(values):
+        return lambda stepper, pi, stride, count: iter([np.array(values)])
+
+    monkeypatch.setattr(lumped, "_distances", fake([0.9, 0.5, 0.5 + 1e-13, 0.1]))
+    np.testing.assert_array_equal(d_curve(params, 3).tv, [0.9, 0.5, 0.5, 0.1])
+    monkeypatch.setattr(lumped, "_distances", fake([0.9, 0.5, 0.5 + 1e-9, 0.1]))
+    with pytest.raises(RuntimeError, match="rose by"):
+        d_curve(params, 3)
 
 
 def test_t_mix_and_mixing_times_agree():
