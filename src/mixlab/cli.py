@@ -6,9 +6,10 @@
 Subcommands mirror the experiment kinds: tv-curve, sweep, coupling,
 bounds, hitting, oracle-check.  The config file is a JSON object; the
 optional flags override the matching config keys.  Exit status: 0 on
-success, 1 for an invalid config (every problem is listed on stderr) or
-an infeasible run, such as a threshold not reached within the horizon,
-2 when oracle-check finds a violated identity.
+success, 1 for an invalid or unreadable config (every problem is listed
+on stderr), an infeasible run, such as a threshold not reached within
+the horizon, or an output path that cannot be written, 2 when
+oracle-check finds a violated identity.
 """
 
 from __future__ import annotations
@@ -62,18 +63,22 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {problem}", file=sys.stderr)
         return 1
 
+    failures: list[str] = []
     try:
         record = run_experiment(config)
     except OracleFailure as exc:
-        write_record(exc.record, config.out, config.format)
-        for name in exc.failures:
-            print(f"oracle violation: {name}", file=sys.stderr)
-        return 2
+        record, failures = exc.record, exc.failures
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_record(record, config.out, config.format)
-    return 0
+    try:
+        write_record(record, config.out, config.format)
+    except OSError as exc:
+        print(f"error: cannot write {config.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    for name in failures:
+        print(f"oracle violation: {name}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Experiment configuration: parsing and strict validation.
 
-Configs are flat JSON objects.  Every problem in a config is reported in
-one shot (unknown keys, missing keys, out-of-range values), so a user
-fixes the file once rather than replaying the parser.
+Configs are flat JSON objects.  One table, :data:`SCHEMA`, names each
+kind's keys with their check and default (:data:`COMMON` holds the keys
+every kind takes); ``parse_config`` walks it and then applies the
+cross-field rules.  Every problem in a config is reported in one shot
+(unknown keys, missing keys, out-of-range values), so a user fixes the
+file once rather than replaying the parser.
 """
 
 from __future__ import annotations
@@ -10,30 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
-
-KINDS = ("tv-curve", "sweep", "coupling", "bounds", "hitting", "oracle-check")
-
-_COMMON_KEYS = {"kind", "seed", "format", "out", "threads"}
-
-_KIND_KEYS: dict[str, set[str]] = {
-    "tv-curve": {"n", "k", "t_max", "stride", "eps"},
-    "sweep": {"n_grid", "k_rule", "eps"},
-    "coupling": {"n", "k", "t_values", "replicas", "x", "y"},
-    "bounds": {"n", "k", "t_values", "threshold", "replicas"},
-    "hitting": {"m", "q", "steps_values", "replicas"},
-    "oracle-check": {
-        "n_max",
-        "t_max",
-        "walk_m_max",
-        "walk_steps_max",
-        "walk_q",
-        "pair_n_max",
-        "tol",
-    },
-}
+from typing import Any, Callable
 
 K_RULE_KINDS = ("fraction", "power", "sqrt_multiple")
+
+#: Default of a key that every config of its kind must give.
+REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -44,127 +29,176 @@ class ConfigError(ValueError):
         super().__init__("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description (kind-specific fields are None
-    when they do not apply)."""
-
-    kind: str
-    seed: int = 0
-    format: str = "csv"
-    out: str | None = None
-    threads: int = 1
-    # tv-curve / coupling / bounds instance
-    n: int | None = None
-    k: int | None = None
-    t_max: int | None = None
-    stride: int = 1
-    eps: tuple[float, ...] = ()
-    # sweep
-    n_grid: tuple[int, ...] = ()
-    k_rule: tuple[str, float] | None = None
-    # coupling / bounds / hitting sampling
-    t_values: tuple[int, ...] = ()
-    replicas: int = 100_000
-    x: int | None = None
-    y: int = 0
-    threshold: int | None = None
-    # hitting
-    m: int | None = None
-    q: float | None = None
-    steps_values: tuple[int, ...] = ()
-    # oracle-check
-    n_max: int = 6
-    walk_m_max: int = 5
-    walk_steps_max: int = 30
-    walk_q: tuple[float, ...] = (0.1, 0.5, 1.0)
-    pair_n_max: int = 12
-    tol: float = 1e-10
-    normalized: dict = field(default_factory=dict, compare=False)
+# A check maps (key, raw value) to the parsed value or raises ConfigError.
+Check = Callable[[str, Any], Any]
 
 
-def _want_int(raw: dict, key: str, problems: list[str], *, lo: int | None = None,
-              hi: int | None = None, required: bool = False, default: int | None = None) -> int | None:
-    if key not in raw:
-        if required:
-            problems.append(f"missing required key '{key}'")
-        return default
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        problems.append(f"'{key}' must be an integer, got {value!r}")
-        return default
-    if lo is not None and value < lo:
-        problems.append(f"'{key}' must be >= {lo}, got {value}")
-        return default
-    if hi is not None and value > hi:
-        problems.append(f"'{key}' must be <= {hi}, got {value}")
-        return default
-    return value
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _want_number(raw: dict, key: str, problems: list[str], *, lo_open: float | None = None,
-                 hi_closed: float | None = None, required: bool = False,
-                 default: float | None = None) -> float | None:
-    if key not in raw:
-        if required:
-            problems.append(f"missing required key '{key}'")
-        return default
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"'{key}' must be a number, got {value!r}")
-        return default
-    value = float(value)
-    if lo_open is not None and not value > lo_open:
-        problems.append(f"'{key}' must be > {lo_open}, got {value}")
-        return default
-    if hi_closed is not None and value > hi_closed:
-        problems.append(f"'{key}' must be <= {hi_closed}, got {value}")
-        return default
-    return value
+def _int(lo: int, hi: int | None = None) -> Check:
+    def check(key, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError([f"'{key}' must be an integer, got {value!r}"])
+        if value < lo:
+            raise ConfigError([f"'{key}' must be >= {lo}, got {value}"])
+        if hi is not None and value > hi:
+            raise ConfigError([f"'{key}' must be <= {hi}, got {value}"])
+        return value
+
+    return check
 
 
-def _want_int_list(raw: dict, key: str, problems: list[str], *, lo: int = 0,
-                   min_len: int = 1, required: bool = False,
-                   default: tuple[int, ...] = ()) -> tuple[int, ...]:
-    if key not in raw:
-        if required:
-            problems.append(f"missing required key '{key}'")
-        return default
-    value = raw[key]
-    if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
-        problems.append(f"'{key}' must be a list of integers, got {value!r}")
-        return default
-    if len(value) < min_len:
-        problems.append(f"'{key}' needs at least {min_len} entries, got {len(value)}")
-        return default
-    if any(v < lo for v in value):
-        problems.append(f"every entry of '{key}' must be >= {lo}")
-        return default
-    return tuple(value)
+def _number(lo_open: float, hi: float | None = None) -> Check:
+    def check(key, value):
+        if not _is_number(value):
+            raise ConfigError([f"'{key}' must be a number, got {value!r}"])
+        value = float(value)
+        if not value > lo_open:
+            raise ConfigError([f"'{key}' must be > {lo_open}, got {value}"])
+        if hi is not None and value > hi:
+            raise ConfigError([f"'{key}' must be <= {hi}, got {value}"])
+        return value
+
+    return check
 
 
-def _want_eps_list(raw: dict, key: str, problems: list[str],
-                   default: tuple[float, ...]) -> tuple[float, ...]:
-    if key not in raw:
-        return default
-    value = raw[key]
-    if not isinstance(value, list) or not value or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        problems.append(f"'{key}' must be a nonempty list of numbers, got {value!r}")
-        return default
+def _int_list(lo: int, min_len: int = 1) -> Check:
+    def check(key, value):
+        if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
+            raise ConfigError([f"'{key}' must be a list of integers, got {value!r}"])
+        if len(value) < min_len:
+            raise ConfigError([f"'{key}' needs at least {min_len} entries, got {len(value)}"])
+        if any(v < lo for v in value):
+            raise ConfigError([f"every entry of '{key}' must be >= {lo}"])
+        return tuple(value)
+
+    return check
+
+
+def _eps(key, value):
+    if not isinstance(value, list) or not value or not all(map(_is_number, value)):
+        raise ConfigError([f"'{key}' must be a nonempty list of numbers, got {value!r}"])
     eps = tuple(float(v) for v in value)
     if any(not 0.0 < e < 1.0 for e in eps):
-        problems.append(f"every entry of '{key}' must lie strictly between 0 and 1")
-        return default
+        raise ConfigError([f"every entry of '{key}' must lie strictly between 0 and 1"])
     return tuple(dict.fromkeys(eps))  # dedupe, preserve order
 
 
-def _check_instance(n: int | None, k: int | None, problems: list[str]) -> None:
-    if n is not None and n < 2:
-        problems.append(f"'n' must be >= 2, got {n}")
-    if n is not None and k is not None and n >= 2 and not 1 <= k <= n // 2:
-        problems.append(f"k must satisfy 1 <= k <= n/2, got k={k} for n={n}")
+def _walk_q(key, value):
+    if not isinstance(value, list) or not value or not all(
+        _is_number(v) and 0 < float(v) <= 1 for v in value
+    ):
+        raise ConfigError([f"'{key}' must be a nonempty list of numbers in (0, 1]"])
+    return tuple(float(v) for v in value)
+
+
+def _k_rule(key, rule):
+    if rule is None:
+        raise ConfigError([f"missing required key '{key}'"])
+    if (
+        not isinstance(rule, dict)
+        or set(rule) != {"kind", "value"}
+        or rule["kind"] not in K_RULE_KINDS
+        or not _is_number(rule["value"])
+        or not float(rule["value"]) > 0
+    ):
+        raise ConfigError([
+            f"'{key}' must be {{'kind': one of "
+            f"{list(K_RULE_KINDS)}, 'value': positive number}}, got {rule!r}"
+        ])
+    return (rule["kind"], float(rule["value"]))
+
+
+def _format(key, value):
+    if value not in ("csv", "json"):
+        raise ConfigError([f"'{key}' must be 'csv' or 'json', got {value!r}"])
+    return value
+
+
+def _out(key, value):
+    if value is not None and not isinstance(value, str):
+        raise ConfigError([f"'{key}' must be a string path, got {value!r}"])
+    return value
+
+
+#: Keys every kind takes: key -> (check, default).
+COMMON: dict[str, tuple[Check, Any]] = {
+    "seed": (_int(0), 0),
+    "threads": (_int(1), 1),
+    "format": (_format, "csv"),
+    "out": (_out, None),
+}
+
+_N, _K = (_int(2), REQUIRED), (_int(1), REQUIRED)
+_REPLICAS = (_int(1), 100_000)
+
+#: Each kind's own keys: kind -> {key: (check, default or REQUIRED)}.
+#: Problems are reported in table order, common keys first.
+SCHEMA: dict[str, dict[str, tuple[Check, Any]]] = {
+    "tv-curve": {
+        "n": _N, "k": _K, "t_max": (_int(0), REQUIRED), "stride": (_int(1), 1),
+        "eps": (_eps, (0.25,)),
+    },
+    "sweep": {
+        "n_grid": (_int_list(2, min_len=3), REQUIRED), "k_rule": (_k_rule, REQUIRED),
+        "eps": (_eps, (0.1,)),
+    },
+    "coupling": {
+        "n": _N, "k": _K, "t_values": (_int_list(0), REQUIRED), "replicas": _REPLICAS,
+        "x": (_int(0), None), "y": (_int(0), 0),
+    },
+    "bounds": {
+        "n": _N, "k": _K, "t_values": (_int_list(0), REQUIRED),
+        "threshold": (_int(1), REQUIRED), "replicas": _REPLICAS,
+    },
+    "hitting": {
+        "m": (_int(1), REQUIRED), "q": (_number(0.0, 1.0), REQUIRED),
+        "steps_values": (_int_list(0), REQUIRED), "replicas": _REPLICAS,
+    },
+    "oracle-check": {
+        "n_max": (_int(2, 8), 6), "t_max": (_int(0), 30), "walk_m_max": (_int(1), 5),
+        "walk_steps_max": (_int(0, 200), 30), "pair_n_max": (_int(2, 50), 12),
+        "tol": (_number(0.0), 1e-10), "walk_q": (_walk_q, (0.1, 0.5, 1.0)),
+    },
+}
+
+KINDS = tuple(SCHEMA)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated experiment description.  Every key of the config's kind
+    and of :data:`COMMON` is filled in; fields of other kinds are None."""
+
+    kind: str
+    seed: int | None = None
+    format: str | None = None
+    out: str | None = None
+    threads: int | None = None
+    n: int | None = None
+    k: int | None = None
+    t_max: int | None = None
+    stride: int | None = None
+    eps: tuple[float, ...] | None = None
+    n_grid: tuple[int, ...] | None = None
+    k_rule: tuple[str, float] | None = None
+    t_values: tuple[int, ...] | None = None
+    replicas: int | None = None
+    x: int | None = None
+    y: int | None = None
+    threshold: int | None = None
+    m: int | None = None
+    q: float | None = None
+    steps_values: tuple[int, ...] | None = None
+    n_max: int | None = None
+    walk_m_max: int | None = None
+    walk_steps_max: int | None = None
+    walk_q: tuple[float, ...] | None = None
+    pair_n_max: int | None = None
+    tol: float | None = None
+    normalized: dict = field(default_factory=dict, compare=False)
 
 
 def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
@@ -172,135 +206,74 @@ def parse_config(raw: dict[str, Any]) -> ExperimentConfig:
 
     Raises :class:`ConfigError` carrying the complete list of problems.
     """
-    problems: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ConfigError([f"'kind' must be one of {list(KINDS)}, got {kind!r}"])
 
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
-    for key in sorted(set(raw) - allowed):
-        problems.append(f"unknown key '{key}' for kind '{kind}'")
-
-    seed = _want_int(raw, "seed", problems, lo=0, default=0)
-    threads = _want_int(raw, "threads", problems, lo=1, default=1)
-    fmt = raw.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        problems.append(f"'format' must be 'csv' or 'json', got {fmt!r}")
-        fmt = "csv"
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        problems.append(f"'out' must be a string path, got {out!r}")
-        out = None
-
-    fields: dict[str, Any] = {}
-
-    if kind == "tv-curve":
-        n = _want_int(raw, "n", problems, lo=2, required=True)
-        k = _want_int(raw, "k", problems, lo=1, required=True)
-        _check_instance(n, k, problems)
-        fields["n"], fields["k"] = n, k
-        fields["t_max"] = _want_int(raw, "t_max", problems, lo=0, required=True)
-        fields["stride"] = _want_int(raw, "stride", problems, lo=1, default=1)
-        fields["eps"] = _want_eps_list(raw, "eps", problems, (0.25,))
-
-    elif kind == "sweep":
-        n_grid = _want_int_list(raw, "n_grid", problems, lo=2, min_len=3, required=True)
-        fields["n_grid"] = n_grid
-        rule = raw.get("k_rule")
-        if rule is None:
-            problems.append("missing required key 'k_rule'")
-        elif (
-            not isinstance(rule, dict)
-            or set(rule) != {"kind", "value"}
-            or rule.get("kind") not in K_RULE_KINDS
-            or isinstance(rule.get("value"), bool)
-            or not isinstance(rule.get("value"), (int, float))
-            or not float(rule["value"]) > 0
-        ):
-            problems.append(
-                "'k_rule' must be {'kind': one of "
-                f"{list(K_RULE_KINDS)}, 'value': positive number}}, got {rule!r}"
-            )
-        else:
-            fields["k_rule"] = (rule["kind"], float(rule["value"]))
-            for n in n_grid:
-                k = k_from_rule(fields["k_rule"], n)
-                if not 1 <= k <= n // 2:
-                    problems.append(
-                        f"k rule gives k={k} for n={n}; k must satisfy 1 <= k <= n/2"
-                    )
-        fields["eps"] = _want_eps_list(raw, "eps", problems, (0.1,))
-
-    elif kind == "coupling":
-        n = _want_int(raw, "n", problems, lo=2, required=True)
-        k = _want_int(raw, "k", problems, lo=1, required=True)
-        _check_instance(n, k, problems)
-        fields["n"], fields["k"] = n, k
-        fields["t_values"] = _want_int_list(raw, "t_values", problems, lo=0, required=True)
-        fields["replicas"] = _want_int(raw, "replicas", problems, lo=1, default=100_000)
-        x = _want_int(raw, "x", problems, lo=0)
-        y = _want_int(raw, "y", problems, lo=0, default=0)
-        start = x if x is not None else k
-        if x is not None and k is not None and x > k:
-            problems.append(f"'x' must be <= k={k}, got {x}")
-        if y is not None and start is not None and y > start:
-            problems.append(f"need y <= x, got y={y} with start x={start}")
-        fields["x"], fields["y"] = x, y if y is not None else 0
-
-    elif kind == "bounds":
-        n = _want_int(raw, "n", problems, lo=2, required=True)
-        k = _want_int(raw, "k", problems, lo=1, required=True)
-        _check_instance(n, k, problems)
-        fields["n"], fields["k"] = n, k
-        fields["t_values"] = _want_int_list(raw, "t_values", problems, lo=0, required=True)
-        threshold = _want_int(raw, "threshold", problems, lo=1, required=True)
-        if threshold is not None and k is not None and threshold >= k:
-            problems.append(f"'threshold' must be below k={k}, got {threshold}")
-        fields["threshold"] = threshold
-        fields["replicas"] = _want_int(raw, "replicas", problems, lo=1, default=100_000)
-
-    elif kind == "hitting":
-        fields["m"] = _want_int(raw, "m", problems, lo=1, required=True)
-        fields["q"] = _want_number(raw, "q", problems, lo_open=0.0, hi_closed=1.0, required=True)
-        fields["steps_values"] = _want_int_list(raw, "steps_values", problems, lo=0, required=True)
-        fields["replicas"] = _want_int(raw, "replicas", problems, lo=1, default=100_000)
-
-    else:  # oracle-check
-        fields["n_max"] = _want_int(raw, "n_max", problems, lo=2, hi=8, default=6)
-        fields["t_max"] = _want_int(raw, "t_max", problems, lo=0, default=30)
-        fields["walk_m_max"] = _want_int(raw, "walk_m_max", problems, lo=1, default=5)
-        fields["walk_steps_max"] = _want_int(raw, "walk_steps_max", problems, lo=0, hi=200, default=30)
-        fields["pair_n_max"] = _want_int(raw, "pair_n_max", problems, lo=2, hi=50, default=12)
-        tol = _want_number(raw, "tol", problems, lo_open=0.0, default=1e-10)
-        fields["tol"] = tol
-        wq = raw.get("walk_q", [0.1, 0.5, 1.0])
-        if not isinstance(wq, list) or not wq or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < float(v) <= 1
-            for v in wq
-        ):
-            problems.append("'walk_q' must be a nonempty list of numbers in (0, 1]")
-        else:
-            fields["walk_q"] = tuple(float(v) for v in wq)
-
+    table = {**COMMON, **SCHEMA[kind]}
+    problems = [
+        f"unknown key '{key}' for kind '{kind}'" for key in sorted(set(raw) - set(table) - {"kind"})
+    ]
+    values: dict[str, Any] = {}  # the keys that are present and valid, or defaulted
+    for key, (check, default) in table.items():
+        try:
+            if key in raw:
+                values[key] = check(key, raw[key])
+            elif default is not REQUIRED:
+                values[key] = default
+            else:
+                problems.append(f"missing required key '{key}'")
+        except ConfigError as exc:
+            problems += exc.problems
+        except OverflowError:  # an integer beyond float range
+            problems.append(f"'{key}' is out of range")
+    problems += _cross_checks(values)
     if problems:
         raise ConfigError(problems)
-
-    config = ExperimentConfig(
-        kind=kind, seed=seed, format=fmt, out=out, threads=threads, **fields
-    )
-    object.__setattr__(config, "normalized", _normalize(config))
-    return config
+    return ExperimentConfig(kind=kind, normalized=_normalize(kind, values), **values)
 
 
-def _normalize(config: ExperimentConfig) -> dict:
+def _cross_checks(values: dict[str, Any]) -> list[str]:
+    """The rules that tie keys together; each applies only when the keys
+    it reads are present and valid."""
+    problems = []
+    n, k = values.get("n"), values.get("k")
+    if n is not None and k is not None and not 1 <= k <= n // 2:
+        problems.append(f"k must satisfy 1 <= k <= n/2, got k={k} for n={n}")
+    if "k_rule" in values:
+        for n_point in values.get("n_grid", ()):
+            try:
+                k_point = k_from_rule(values["k_rule"], n_point)
+            except OverflowError:
+                problems.append(
+                    f"k rule gives no finite k for n={n_point}; k must satisfy 1 <= k <= n/2"
+                )
+                continue
+            if not 1 <= k_point <= n_point // 2:
+                problems.append(
+                    f"k rule gives k={k_point} for n={n_point}; k must satisfy 1 <= k <= n/2"
+                )
+    x, y = values.get("x"), values.get("y")
+    if x is not None and k is not None and x > k:
+        problems.append(f"'x' must be <= k={k}, got {x}")
+    start = x if x is not None else k
+    if y is not None and start is not None and y > start:
+        problems.append(f"need y <= x, got y={y} with start x={start}")
+    threshold = values.get("threshold")
+    if threshold is not None and k is not None and threshold >= k:
+        problems.append(f"'threshold' must be below k={k}, got {threshold}")
+    return problems
+
+
+def _normalize(kind: str, values: dict[str, Any]) -> dict:
     """Canonical plain-data form of the config (defaults filled), used for
     hashing and for the metadata header."""
-    data: dict[str, Any] = {"kind": config.kind, "seed": config.seed, "format": config.format}
-    for key in sorted(_KIND_KEYS[config.kind]):
-        value = getattr(config, key)
-        if key == "k_rule" and value is not None:
+    data: dict[str, Any] = {"kind": kind, "seed": values["seed"], "format": values["format"]}
+    for key in sorted(SCHEMA[kind]):
+        value = values[key]
+        if key == "k_rule":
             value = {"kind": value[0], "value": value[1]}
         elif isinstance(value, tuple):
             value = list(value)
@@ -322,13 +295,15 @@ def k_from_rule(rule: tuple[str, float], n: int) -> int:
 
 
 def load_config(path: str) -> dict[str, Any]:
-    """Read a JSON config file (parse errors surface as ConfigError)."""
+    """Read a JSON config file (read and parse errors surface as ConfigError)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"]) from None
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"config file could not be read: {exc}"]) from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError([f"config file is not valid JSON: {exc}"]) from None
     if not isinstance(data, dict):
         raise ConfigError(["config file must contain a JSON object"])

@@ -230,3 +230,47 @@ def test_coupling_record_bounds_exact_distance():
         assert d_exact <= estimate + 4.0 * stderr
         assert row[cols["walk_start"]] >= 1
         assert 0.0 <= row[cols["walk_survival"]] <= 1.0
+
+
+_SWEEP = {"kind": "sweep", "n_grid": [40, 60, 80], "k_rule": {"kind": "fraction", "value": 0.2}}
+
+
+def _bad_input_cases(tmp_path):
+    """(args, expected stderr line) for each input the CLI must refuse cleanly."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"kind": "sweep", "note": "café"}'.encode("latin-1"))
+    overflow = _write_config(tmp_path, "power.json",
+                             dict(_SWEEP, k_rule={"kind": "power", "value": 1000}))
+    good = _write_config(tmp_path, "good.json", _SWEEP)
+    return {
+        "directory": (["sweep", "--config", str(tmp_path)],
+                      "config error: config file could not be read: "),
+        "non-utf8": (["sweep", "--config", str(latin1)],
+                     "config error: config file could not be read: "),
+        "k-rule-overflow": (["sweep", "--config", overflow],
+                            "config error: k rule gives no finite k for n=40; "),
+        "unwritable-out": (["sweep", "--config", good, "--out",
+                            str(tmp_path / "missing-dir" / "x.csv")],
+                           "error: cannot write "),
+    }
+
+
+@pytest.mark.parametrize("case", ["directory", "non-utf8", "k-rule-overflow", "unwritable-out"])
+def test_cli_refuses_bad_inputs_without_traceback(tmp_path, case):
+    args, expected = _bad_input_cases(tmp_path)[case]
+    result = _run_cli(args, tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[0].startswith(expected), result.stderr
+
+
+def test_cli_unwritable_out_after_oracle_failure(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", {"kind": "oracle-check", "n_max": 3, "t_max": 5,
+                                             "pair_n_max": 3, "walk_m_max": 2,
+                                             "walk_steps_max": 5, "tol": 1e-30})
+    out = tmp_path / "missing-dir" / "oracle.csv"
+    assert cli.main(["oracle-check", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"

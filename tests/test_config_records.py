@@ -1,15 +1,21 @@
 """Config validation, record serialization, and the seeded stream helper."""
 
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixlab import replica_stream
 from mixlab.config import (
+    COMMON,
     KINDS,
+    SCHEMA,
     ConfigError,
+    ExperimentConfig,
     k_from_rule,
     load_config,
     parse_config,
@@ -59,6 +65,140 @@ def test_parse_minimal_configs(kind):
     assert config.normalized["kind"] == kind
     # the normalized form is pure JSON data
     json.dumps(config.normalized)
+    # fields of other kinds are None, not another kind's default (an
+    # oracle-check config once carried replicas=100000, a tv-curve n_max=6)
+    applies = {"kind", "normalized", *COMMON, *SCHEMA[kind]}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in applies:
+            assert getattr(config, f.name) is None, f.name
+
+
+# For each kind, a config that trips one check of every key it sets, and
+# every cross-field rule the kind has, with the exact problem strings.
+EVERY_PROBLEM = {
+    "tv-curve": (
+        {"kind": "tv-curve", "n": 10, "k": 9, "stride": 0, "eps": [0.5, 1.5], "seed": -1,
+         "threads": 0, "format": "yaml", "out": 3, "banana": 1},
+        [
+            "'format' must be 'csv' or 'json', got 'yaml'",
+            "'out' must be a string path, got 3",
+            "'seed' must be >= 0, got -1",
+            "'stride' must be >= 1, got 0",
+            "'threads' must be >= 1, got 0",
+            "every entry of 'eps' must lie strictly between 0 and 1",
+            "k must satisfy 1 <= k <= n/2, got k=9 for n=10",
+            "missing required key 't_max'",
+            "unknown key 'banana' for kind 'tv-curve'",
+        ],
+    ),
+    "sweep": (
+        {"kind": "sweep", "n_grid": [4, 100, 6], "k_rule": {"kind": "fraction", "value": 0.6},
+         "eps": [], "seed": "s", "threads": True, "format": None},
+        [
+            "'eps' must be a nonempty list of numbers, got []",
+            "'format' must be 'csv' or 'json', got None",
+            "'seed' must be an integer, got 's'",
+            "'threads' must be an integer, got True",
+            "k rule gives k=4 for n=6; k must satisfy 1 <= k <= n/2",
+            "k rule gives k=60 for n=100; k must satisfy 1 <= k <= n/2",
+        ],
+    ),
+    "coupling": (
+        {"kind": "coupling", "n": 10, "k": 6, "t_values": [5, -1], "replicas": 0, "x": 7,
+         "y": 8},
+        [
+            "'replicas' must be >= 1, got 0",
+            "'x' must be <= k=6, got 7",
+            "every entry of 't_values' must be >= 0",
+            "k must satisfy 1 <= k <= n/2, got k=6 for n=10",
+            "need y <= x, got y=8 with start x=7",
+        ],
+    ),
+    "bounds": (
+        {"kind": "bounds", "n": 12, "k": 7, "t_values": [], "threshold": 7, "replicas": 1.5},
+        [
+            "'replicas' must be an integer, got 1.5",
+            "'t_values' needs at least 1 entries, got 0",
+            "'threshold' must be below k=7, got 7",
+            "k must satisfy 1 <= k <= n/2, got k=7 for n=12",
+        ],
+    ),
+    "hitting": (
+        {"kind": "hitting", "m": 0, "q": 1.5, "steps_values": "5", "replicas": -3, "n": 5},
+        [
+            "'m' must be >= 1, got 0",
+            "'q' must be <= 1.0, got 1.5",
+            "'replicas' must be >= 1, got -3",
+            "'steps_values' must be a list of integers, got '5'",
+            "unknown key 'n' for kind 'hitting'",
+        ],
+    ),
+    "oracle-check": (
+        {"kind": "oracle-check", "n_max": 9, "t_max": -1, "walk_m_max": 0,
+         "walk_steps_max": 201, "walk_q": [0.5, 2.0], "pair_n_max": 1, "tol": 0.0},
+        [
+            "'n_max' must be <= 8, got 9",
+            "'pair_n_max' must be >= 2, got 1",
+            "'t_max' must be >= 0, got -1",
+            "'tol' must be > 0.0, got 0.0",
+            "'walk_m_max' must be >= 1, got 0",
+            "'walk_q' must be a nonempty list of numbers in (0, 1]",
+            "'walk_steps_max' must be <= 200, got 201",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parse_reports_every_problem_of_kind(kind):
+    raw, expected = EVERY_PROBLEM[kind]
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(dict(raw))
+    assert sorted(exc_info.value.problems) == expected
+
+
+def test_parse_sweep_k_rule_messages():
+    base = dict(MINIMAL["sweep"])
+    for rule in (None, {"kind": "fraction"}):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(dict(base, k_rule=rule, n_grid=[100, 200]))
+        assert sorted(exc_info.value.problems) == sorted([
+            "'n_grid' needs at least 3 entries, got 2",
+            "missing required key 'k_rule'" if rule is None else
+            "'k_rule' must be {'kind': one of ['fraction', 'power', 'sqrt_multiple'], "
+            "'value': positive number}, got {'kind': 'fraction'}",
+        ])
+
+
+@pytest.mark.parametrize("value", ["1000", "1e400"])
+def test_parse_sweep_k_rule_overflow(value):
+    """A rule whose k overflows is a config problem per grid size, not a crash."""
+    raw = json.loads('{"kind": "sweep", "n_grid": [100, 200, 400], '
+                     f'"k_rule": {{"kind": "power", "value": {value}}}}}')
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(raw)
+    assert exc_info.value.problems == [
+        f"k rule gives no finite k for n={n}; k must satisfy 1 <= k <= n/2"
+        for n in (100, 200, 400)
+    ]
+
+
+def test_parse_number_beyond_float_range():
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(dict(MINIMAL["hitting"], q=10**400))
+    assert exc_info.value.problems == ["'q' is out of range"]
+
+
+def test_readme_rows_name_every_key():
+    """Each kind's row of the README config table lists every key of its schema."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    for kind in KINDS:
+        rows = [ln for ln in readme.splitlines() if ln.startswith(f"| `{kind}` |")]
+        assert len(rows) == 1, kind
+        named = set(re.findall(r"`([a-z_]+)`", rows[0]))
+        assert set(SCHEMA[kind]) <= named, (kind, set(SCHEMA[kind]) - named)
+    common = next(ln for ln in readme.split("\n\n") if ln.startswith("Common keys"))
+    assert set(COMMON) <= set(re.findall(r"`([a-z_]+)`", common))
 
 
 def test_parse_rejects_unknown_kind():
@@ -168,6 +308,16 @@ def test_load_config_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(MINIMAL["tv-curve"]), encoding="utf-8")
     assert load_config(str(good)) == MINIMAL["tv-curve"]
+
+
+def test_load_config_unreadable(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"note": "café"}'.encode("latin-1"))
+    for path in (tmp_path, latin1):
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(str(path))
+        [problem] = exc_info.value.problems
+        assert problem.startswith("config file could not be read: ")
 
 
 def test_config_hash_is_order_independent():
