@@ -140,24 +140,6 @@ def collection_time_samples(
     return (tau_single + 1) // 2
 
 
-def geometric_sum_samples(
-    spec: CollectorSpec,
-    replicas: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """tau' in law, resampled as the sum of its independent geometrics.
-
-    Shares no code with :func:`single_draw_collection_samples`; used to
-    test that the raw draw process has the right distribution.
-    """
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    total = np.zeros(replicas, dtype=np.int64)
-    for j in range(spec.residual + 1, spec.k + 1):
-        total += rng.geometric(j / spec.n, size=replicas)
-    return total
-
-
 @dataclass(frozen=True)
 class TvLowerBound:
     """A certified lower bound on distance to stationarity at one time.

@@ -57,6 +57,8 @@ def _number(lo_open: float, hi: float | None = None) -> Check:
         value = float(value)
         if not value > lo_open:
             raise ConfigError([f"'{key}' must be > {lo_open}, got {value}"])
+        if not math.isfinite(value):
+            raise ConfigError([f"'{key}' must be finite, got {value}"])
         if hi is not None and value > hi:
             raise ConfigError([f"'{key}' must be <= {hi}, got {value}"])
         return value

@@ -18,14 +18,15 @@ stationarity: TV(law from x at time t, law from y) <= P[tau > t].
 For analysis the difference D = W1 - W2 is compared against a dominating
 lazy simple random walk.  Viewed at its jump times, D moves up with
 conditional probability at most 1/2 while its jump clock runs at rate
-q(i, j) >= k^2/n^2.  Coupling the jump directions through one shared
-uniform per jump and both holding times through another (inverse-CDF
-geometric, where the smaller success probability always yields the
-longer holding time) produces, pathwise, a reflecting-free walk whose
-zero-hitting time tau' is never smaller than tau.
+q(i, j) >= k^2/n^2 (:func:`check_skeleton_invariants` scans both, and
+``oracle-check`` runs it).  Coupling the jump directions through one
+shared uniform per jump and both holding times through another
+(inverse-CDF geometric, where the smaller success probability always
+yields the longer holding time) produces, pathwise, a reflecting-free
+walk whose zero-hitting time tau' is never smaller than tau.
 
-Both samplers run the pair as one jump-chain process on the engine of
-:mod:`mixlab.walk`, which runs the dominating walk too.
+The merge sampler runs the pair as one jump-chain process on the engine
+of :mod:`mixlab.walk`.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ import numpy as np
 
 from .exclusion import ModelParams
 from .lumped import BirthDeathKernel, build_kernel
-from .walk import _check_batch, _geometric_from_uniform, _jump_chain, _walk_process
-
-#: Largest number of transient pair states the exact linear-system solver
-#: will handle (dense solve).
-_PAIR_STATE_CAP = 2_000
+from .walk import _check_batch, _geometric_from_uniform, _jump_chain
 
 #: (W1, W2) steps of the four off-diagonal moves, in the order the
 #: skeleton thresholds split them: W1 up, W2 down, W1 down, W2 up.
@@ -184,31 +181,6 @@ def merge_time_samples(
     return MergeSamples(t_cap, tau, merged, state[0], state[1])
 
 
-def expected_merge_time_exact(kernel: CoupledKernel, x: int, y: int) -> float:
-    """Exact E[meeting time] from (x, y) by solving the hitting-time system.
-
-    Independent of any sampling: sets up (I - Q) h = 1 over the transient
-    pair states i > j and solves densely, so it is limited to small k.
-    """
-    k = kernel.params.k
-    if not (0 <= y <= x <= k):
-        raise ValueError(f"start must satisfy 0 <= y <= x <= k, got ({x}, {y})")
-    if x == y:
-        return 0.0
-    transient = [(i, j) for i in range(k + 1) for j in range(i)]
-    if len(transient) > _PAIR_STATE_CAP:
-        raise ValueError("pair state space too large for the dense hitting-time solve")
-    index = {s: idx for idx, s in enumerate(transient)}
-    size = len(transient)
-    system = np.eye(size)
-    for (i, j), row_idx in index.items():
-        for (i2, j2), p in kernel.transition_row(i, j):
-            if i2 != j2:
-                system[row_idx, index[(i2, j2)]] -= p
-    hitting = np.linalg.solve(system, np.ones(size))
-    return float(hitting[index[(x, y)]])
-
-
 @dataclass
 class CouplingBound:
     """Monte Carlo upper bound on distance to stationarity at one time."""
@@ -246,60 +218,3 @@ def coupling_tv_upper_bound(
         stderr = math.sqrt(max(survive * (1.0 - survive), 0.0) / replicas)
         out.append(CouplingBound(params, t, replicas, survive, stderr))
     return out
-
-
-@dataclass
-class DominatedPairSamples:
-    """Replica batch of the joint chain with its dominating free walk.
-
-    tau / merged describe the pair meeting time as in MergeSamples;
-    tau_walk / walk_hit describe the zero-hitting time of the dominating
-    walk driven by the same uniforms.  Whenever both events resolve under
-    the cap, tau_walk >= tau holds pathwise by construction.
-    d_up_moves / pair_moves tally how often the pair difference increased
-    over all jump-chain moves (the fraction stays below 1/2).
-    """
-
-    t_cap: int
-    tau: np.ndarray
-    merged: np.ndarray
-    tau_walk: np.ndarray
-    walk_hit: np.ndarray
-    d_up_moves: int
-    pair_moves: int
-
-
-def dominated_pair_samples(
-    kernel: CoupledKernel,
-    x: int,
-    y: int,
-    t_cap: int,
-    replicas: int,
-    rng: np.random.Generator,
-) -> DominatedPairSamples:
-    """Joint chain and dominating walk from shared uniforms, vectorized.
-
-    Both processes are simulated through their jump chains: one uniform
-    per jump index picks the move for whichever process is still running,
-    and a second uniform stretches into each process's geometric holding
-    time (success probability q(i, j) for the pair, k^2/n^2 for the
-    walk).  Because q(i, j) >= k^2/n^2 everywhere and a D-increasing move
-    forces a walk-increasing move (b <= 1/2), the walk's zero-hitting
-    clock time can never precede the pair's meeting time.
-    """
-    _check_batch(t_cap, replicas)
-    state, jump, met = _pair_process(kernel, x, y, replicas)
-    tally = [0, 0]  # D-increasing pair jumps, all pair jumps
-
-    def counted_jump(pair, u_move, u_clock):
-        nxt, hold = jump(pair, u_move, u_clock)
-        tally[0] += int((nxt[0] - nxt[1] > pair[0] - pair[1]).sum())
-        tally[1] += u_move.size
-        return nxt, hold
-
-    k, n = kernel.params.k, kernel.params.n
-    walk = _walk_process(np.full(replicas, x - y, dtype=np.int64), (float(k) / float(n)) ** 2)
-    (tau, merged), (tau_walk, walk_hit) = _jump_chain(
-        [(state, counted_jump, met), walk], t_cap, rng
-    )
-    return DominatedPairSamples(t_cap, tau, merged, tau_walk, walk_hit, *tally)

@@ -255,8 +255,10 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
         second_resid = abs(
             lumped.second_moment_closed_form(params, 0) - lumped.dist_second_moment(p)
         )
+        stepper = lumped._Stepper(kernel, p)
         for t in t_grid[1:]:
-            p = lumped.evolve(p, kernel, 1)
+            stepper.advance(1)
+            p = stepper.law()
             resid = max(resid, abs(brute[t] - lumped.tv_distance(p, pi)))
             mean_resid = max(
                 mean_resid, abs(lumped.mean_w_closed_form(params, params.k, t) - lumped.dist_mean(p))
@@ -274,13 +276,17 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
 
         balance = np.abs(pi[:-1] * kernel.up[:-1] - pi[1:] * kernel.down[1:])
         add("detailed-balance", label, float(balance.max()))
+        add("eigenfunction", label, lumped.eigenfunction_check(kernel))
 
     for n in range(2, config.pair_n_max + 1):
         worst = 0.0
+        b_max, ratio_min = 0.0, math.inf
         for k in range(1, n // 2 + 1):
             params = exclusion.ModelParams(n, k)
             kernel = factory(params)
             pair = coupling_mod.CoupledKernel(kernel)
+            b, ratio = coupling_mod.check_skeleton_invariants(pair)
+            b_max, ratio_min = max(b_max, b), min(ratio_min, ratio)
             for i in range(k + 1):
                 for j in range(i + 1):
                     row = pair.transition_row(i, j)
@@ -298,6 +304,8 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
                         abs(down2 - kernel.down[j]),
                     )
         add("pair-marginal", f"n={n}", worst)
+        # the dominating walk needs b <= 1/2 and q >= k^2/n^2 at every pair state
+        add("skeleton", f"n={n}", max(0.0, b_max - 0.5, 1.0 - ratio_min))
 
     for q in config.walk_q:
         worst = 0.0

@@ -18,8 +18,9 @@ set to zero, so at most (k + 1) * steps * 2.2e-308 of mass is dropped.
 Two closed forms drive the moment machinery: the conditional mean of a
 step is affine in W, so E[W_t] relaxes geometrically with factor 1 - 2/n
 toward k^2/n, and the second moment obeys a linear recursion with factor
-(1 - 2/n)^2 whose coefficients follow from the kernel above.  Both are
-checked against direct distribution evolution in the test suite.
+(1 - 2/n)^2 whose coefficients follow from the kernel above.  The
+``oracle-check`` experiment checks both against direct distribution
+evolution.
 """
 
 from __future__ import annotations
@@ -360,49 +361,6 @@ def second_moment_closed_form(params: ModelParams, t: int, w0: int | None = None
         m2 = factor * m2 + lin * m1 + const
         m1 = decay * (m1 - fixed) + fixed
     return m2
-
-
-@dataclass(frozen=True)
-class VarianceBoundReport:
-    """Outcome of one variance-bound evaluation; see :func:`variance_bound_check`."""
-
-    params: ModelParams
-    gamma: float
-    t: int
-    variance: float
-    bound: float
-    satisfied: bool
-
-
-def variance_bound_check(
-    params: ModelParams,
-    gamma: float,
-    *,
-    c_const: float = 10.0,
-    regime_coeff: float = 1.0,
-) -> VarianceBoundReport:
-    """Check Var(W_t) <= C k^2/n + e^gamma k/sqrt(n) at t = floor(n log n / 4 - gamma n / 2).
-
-    The inequality is a concentration statement for block counts of order
-    sqrt(n) and larger, so instances with k < regime_coeff * sqrt(n) are
-    rejected rather than silently reported; pass ``regime_coeff=0`` to
-    evaluate anyway.  The variance is computed from the exactly evolved
-    distribution started at W = k, not from simulation.
-    """
-    n, k = params.n, params.k
-    if regime_coeff > 0 and k < regime_coeff * math.sqrt(n):
-        raise ValueError(
-            f"k={k} is below {regime_coeff}*sqrt(n)={regime_coeff * math.sqrt(n):.2f}; "
-            "outside the bound's regime (pass regime_coeff=0 to override)"
-        )
-    t = math.floor(0.25 * n * math.log(n) - 0.5 * gamma * n)
-    if t < 0:
-        raise ValueError(f"gamma={gamma} puts the evaluation time below zero (t={t})")
-    kernel = build_kernel(params)
-    dist = evolve(delta_at(k, k + 1), kernel, t)
-    variance = dist_variance(dist)
-    bound = c_const * k * k / n + math.exp(gamma) * k / math.sqrt(n)
-    return VarianceBoundReport(params, gamma, t, variance, bound, variance <= bound)
 
 
 def tv_lower_bound_second_moment(mu: np.ndarray, pi: np.ndarray) -> float:

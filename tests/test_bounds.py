@@ -11,13 +11,13 @@ from mixlab.bounds import (
     CollectorSpec,
     collection_time_samples,
     collector_moments,
-    geometric_sum_samples,
     labeled_tv_lower_bound,
     single_draw_collection_samples,
     unlabeled_tv_lower_bound,
 )
 from mixlab.exclusion import brute_force_tv_curve
 from mixlab.lumped import d_curve, equilibrium
+from reference import geometric_sum_samples
 
 
 def test_collector_moments_frozen():

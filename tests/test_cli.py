@@ -151,21 +151,26 @@ def test_oracle_check_localizes_a_corrupted_kernel():
     """A lazified kernel breaks exactly the identities that feel the rate.
 
     Halving up and down keeps rows stochastic, keeps detailed balance and
-    the stationary law, but halves the spectral gap, so only the lumping
-    and moment identities move.
+    the stationary law, but halves the spectral gap, so only the lumping,
+    moment and eigenfunction identities move.  The pair jump rates halve
+    too, yet at ``pair_n_max`` 4 their floor ratio q n^2/k^2 is still 1.5,
+    so the skeleton row passes.  Scaling the down rates by 0.1 takes
+    that ratio to 0.75, and the skeleton row fails.
     """
     config = parse_config({"kind": "oracle-check", "n_max": 4, "t_max": 10, "pair_n_max": 4})
 
-    def lazified(params):
-        kernel = build_kernel(params)
-        up = kernel.up / 2.0
-        down = kernel.down / 2.0
-        stay = 1.0 - up - down
-        return BirthDeathKernel(params, up, down, stay)
+    def scaled(up_factor, down_factor):
+        def factory(params):
+            kernel = build_kernel(params)
+            up = kernel.up * up_factor
+            down = kernel.down * down_factor
+            return BirthDeathKernel(params, up, down, 1.0 - up - down)
+
+        return factory
 
     with pytest.raises(OracleFailure) as exc_info:
-        run_oracle_check(config, kernel_factory=lazified)
-    assert exc_info.value.failures == ["lumping", "moment-mean", "moment-second"]
+        run_oracle_check(config, kernel_factory=scaled(0.5, 0.5))
+    assert exc_info.value.failures == ["eigenfunction", "lumping", "moment-mean", "moment-second"]
     record = exc_info.value.record
     by_identity = {}
     for identity, _, _, _, status in record.rows:
@@ -173,8 +178,21 @@ def test_oracle_check_localizes_a_corrupted_kernel():
     assert by_identity["stationarity"] == {"pass"}
     assert by_identity["detailed-balance"] == {"pass"}
     assert by_identity["pair-marginal"] == {"pass"}
+    assert by_identity["skeleton"] == {"pass"}
     assert by_identity["reflection"] == {"pass"}
     assert "fail" in by_identity["lumping"]
+    assert [row[1] for row in record.rows if row[0] == "skeleton"] == ["n=2", "n=3", "n=4"]
+
+    # slowing only the down moves also breaks balance and the stationary law
+    with pytest.raises(OracleFailure) as exc_info:
+        run_oracle_check(config, kernel_factory=scaled(1.0, 0.1))
+    assert exc_info.value.failures == [
+        "detailed-balance", "eigenfunction", "lumping", "moment-mean", "moment-second",
+        "skeleton", "stationarity",
+    ]
+    skeleton = {row[1]: row[2] for row in exc_info.value.record.rows if row[0] == "skeleton"}
+    assert skeleton["n=2"] == skeleton["n=3"] == 0.0
+    assert skeleton["n=4"] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_run_experiment_api_determinism():

@@ -20,6 +20,7 @@ from mixlab.config import (
     load_config,
     parse_config,
 )
+from mixlab.experiments import run_oracle_check
 from mixlab.records import (
     ResultRecord,
     config_hash,
@@ -201,6 +202,19 @@ def test_readme_rows_name_every_key():
     assert set(COMMON) <= set(re.findall(r"`([a-z_]+)`", common))
 
 
+def test_readme_oracle_note_names_every_identity():
+    """The README's oracle-check note names each identity the check emits."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("`oracle-check` deserves a note")
+    note = readme[start : readme.index("\n## ", start)]
+    config = parse_config({"kind": "oracle-check", "n_max": 3, "t_max": 2, "pair_n_max": 3,
+                           "walk_m_max": 1, "walk_steps_max": 2, "walk_q": [0.5]})
+    identities = {row[0] for row in run_oracle_check(config).rows}
+    assert len(identities) == 9
+    missing = {name for name in identities if f"`{name}`" not in note}
+    assert not missing, missing
+
+
 def test_parse_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         parse_config({"kind": "walk"})
@@ -282,6 +296,11 @@ def test_parse_oracle_check_ranges():
         parse_config({"kind": "oracle-check", "n_max": 9})
     with pytest.raises(ConfigError):
         parse_config({"kind": "oracle-check", "tol": 0.0})
+    # JSON reads both as inf, which would let every identity pass
+    for text in ('{"kind": "oracle-check", "tol": Infinity}', '{"kind": "oracle-check", "tol": 1e400}'):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(json.loads(text))
+        assert exc_info.value.problems == ["'tol' must be finite, got inf"]
     with pytest.raises(ConfigError):
         parse_config({"kind": "oracle-check", "walk_q": [0.5, 2.0]})
 

@@ -10,11 +10,10 @@ from mixlab.coupling import (
     build_coupled_kernel,
     check_skeleton_invariants,
     coupling_tv_upper_bound,
-    dominated_pair_samples,
-    expected_merge_time_exact,
     merge_time_samples,
 )
 from mixlab.lumped import build_kernel, d_curve
+from reference import dominated_pair_samples, expected_merge_time_exact
 
 
 def _marginals(row):

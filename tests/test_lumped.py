@@ -26,7 +26,6 @@ from mixlab.lumped import (
     t_mix,
     tv_distance,
     tv_lower_bound_second_moment,
-    variance_bound_check,
 )
 
 
@@ -392,13 +391,13 @@ def test_mixing_times_validation():
 
 
 def test_variance_bound_report():
-    report = variance_bound_check(ModelParams(1000, 200), 0.0)
-    assert report.t == 1726
-    assert report.satisfied and report.variance < report.bound
-    with pytest.raises(ValueError):
-        variance_bound_check(ModelParams(1000, 10), 0.0)  # k below the sqrt(n) regime
-    with pytest.raises(ValueError):
-        variance_bound_check(ModelParams(1000, 200), 4000.0)  # time would be negative
+    """Var(W_t) <= C k^2/n + e^gamma k/sqrt(n) at t = floor(n log n / 4 - gamma n / 2),
+    with C = 10 and gamma = 0, on the exactly evolved law from W = k."""
+    n, k, gamma = 1000, 200, 0.0
+    t = math.floor(0.25 * n * math.log(n) - 0.5 * gamma * n)
+    assert t == 1726
+    variance = dist_variance(evolve(delta_at(k, k + 1), build_kernel(ModelParams(n, k)), t))
+    assert variance < 10.0 * k * k / n + math.exp(gamma) * k / math.sqrt(n)
 
 
 def test_second_moment_lower_bound_dominated_by_tv():
