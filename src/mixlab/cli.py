@@ -8,8 +8,8 @@ bounds, hitting, oracle-check.  The config file is a JSON object; the
 optional flags override the matching config keys.  Exit status: 0 on
 success, 1 for an invalid or unreadable config (every problem is listed
 on stderr), an infeasible run, such as a threshold not reached within
-the horizon, or an output path that cannot be written, 2 when
-oracle-check finds a violated identity.
+the horizon or arrays too large to allocate, or an output path that
+cannot be written, 2 when oracle-check finds a violated identity.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         record = run_experiment(config)
     except OracleFailure as exc:
         record, failures = exc.record, exc.failures
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -177,7 +177,7 @@ def merge_time_samples(
     """
     _check_batch(t_cap, replicas)
     state, jump, met = _pair_process(kernel, x, y, replicas)
-    [(tau, merged)] = _jump_chain([(state, jump, met)], t_cap, rng)
+    tau, merged = _jump_chain((state, jump, met), t_cap, rng)
     return MergeSamples(t_cap, tau, merged, state[0], state[1])
 
 

@@ -310,11 +310,9 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
     for q in config.walk_q:
         worst = 0.0
         for m in range(1, config.walk_m_max + 1):
+            brute = walk.survival_bruteforce(m, config.walk_steps_max, q)
             for steps in range(0, config.walk_steps_max + 1):
-                worst = max(
-                    worst,
-                    abs(walk.survival_exact(m, steps, q) - walk.survival_bruteforce(m, steps, q)),
-                )
+                worst = max(worst, abs(walk.survival_exact(m, steps, q) - brute[steps]))
         add("reflection", f"q={q:g}", worst)
 
     meta = _base_meta(config)

@@ -15,14 +15,11 @@ covers the diffusive limit where m ~ alpha * s and steps ~ beta * s^2 / q.
 
 Simulation goes through the jump chain: a fair +1/-1 move per jump and
 a geometric holding time before it, both drawn from uniforms.  The same
-jump-chain engine also runs the coupled pair of :mod:`mixlab.coupling`,
-and it can run the pair and this walk side by side on shared uniforms,
-which is how the tests check that the walk dominates the meeting time.
+jump-chain engine also runs the coupled pair of :mod:`mixlab.coupling`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -75,12 +72,13 @@ def survival_exact(m: int, steps: int, q: float) -> float:
     return float(weights[moves] @ inside)
 
 
-def survival_bruteforce(m: int, steps: int, q: float) -> float:
-    """Same survival probability by direct absorbing-boundary evolution.
+def survival_bruteforce(m: int, steps: int, q: float) -> np.ndarray:
+    """Survival after each of 0..``steps`` steps, by absorbing-boundary evolution.
 
     Dynamic program over positions 1..m+steps with an absorbing wall at
     0; shares no code path with :func:`survival_exact`.  Quadratic in
-    ``steps`` and capped accordingly.
+    ``steps`` and capped accordingly.  Entry s sums positions 1..m+s, the
+    ones that can hold mass by then, bit for bit as a run stopped at s.
     """
     _validate(m, steps, q)
     if steps > _BRUTEFORCE_STEP_CAP:
@@ -88,14 +86,16 @@ def survival_bruteforce(m: int, steps: int, q: float) -> float:
     width = m + steps + 1  # index = position, 0 is the absorbing wall
     p = np.zeros(width)
     p[m] = 1.0
-    for _ in range(steps):
+    curve = np.ones(steps + 1)
+    for s in range(1, steps + 1):
         new = (1.0 - q) * p
         new[:-1] += (q / 2.0) * p[1:]
         new[2:] += (q / 2.0) * p[1:-1]
         # mass moving from position 1 down to 0 is absorbed (dropped)
         new[0] = 0.0
         p = new
-    return float(p[1:].sum())
+        curve[s] = p[1 : m + s + 1].sum()
+    return curve
 
 
 def _geometric_from_uniform(u: np.ndarray, log1m_q: np.ndarray | float) -> np.ndarray:
@@ -116,62 +116,43 @@ def _check_batch(t_cap: int, replicas: int) -> None:
         raise ValueError("replicas must be positive")
 
 
-def _jump_chain(processes: list, t_cap: int, rng: np.random.Generator) -> list:
-    """Run processes side by side through their jump chains on shared uniforms.
+def _jump_chain(process: tuple, t_cap: int, rng: np.random.Generator) -> tuple:
+    """Run a batch of replicas of one process through its jump chain.
 
-    Each process is a triple (state, jump, absorbed): ``state`` is an int
-    array of shape (dims, replicas) holding the start, with the same
-    replicas for every process; ``jump(state, u_move, u_clock)`` returns
-    the state after one jump and the holding time spent before it;
-    ``absorbed(state)`` marks absorbing states, and a replica that starts
-    in one is absorbed at time 0.  Every round draws one move and one
-    clock uniform per replica that some process still runs, and each
-    process takes the uniforms of its own running replicas.  Returns
-    (times, hit) per process; times carry t_cap + 1 where the cap came
-    first.  ``state`` is overwritten with the state at absorption, or at
-    t_cap: a jump that lands after t_cap is discarded.
+    The process is a triple (state, jump, absorbed): ``state`` is an int
+    array of shape (dims, replicas) holding the start; ``jump(state,
+    u_move, u_clock)`` returns the state after one jump and the holding
+    time spent before it; ``absorbed(state)`` marks absorbing states, and
+    a replica that starts in one is absorbed at time 0.  Every round
+    draws one move and one clock uniform per running replica.  Returns
+    (times, hit); times carry t_cap + 1 where the cap came first.
+    ``state`` is overwritten with the state at absorption, or at t_cap: a
+    jump that lands after t_cap is discarded.
     """
-    at_start = [absorbed(state) for state, _, absorbed in processes]
-    results = [(np.where(hit, 0, t_cap + 1), hit) for hit in at_start]
-    # working columns of the replicas in gid: state, clock and running flag
-    cur = [state.copy() for state, _, _ in processes]
-    clocks = [np.zeros(hit.size, dtype=np.int64) for hit in at_start]
-    running = [~hit for hit in at_start]
-    gid = np.arange(at_start[0].size)
-    while True:
-        keep = functools.reduce(np.logical_or, running)
-        if not keep.all():
-            gid = gid[keep]
-            cur = [c[:, keep] for c in cur]
-            clocks = [c[keep] for c in clocks]
-            running = [r[keep] for r in running]
-        if not gid.size:
-            return results
-        u_move = rng.random(gid.size)
-        u_clock = rng.random(gid.size)
-        for p, ((state, jump, absorbed), (times, hit)) in enumerate(zip(processes, results)):
-            run = running[p]
-            if not run.any():
-                continue
-            sel = slice(None) if run.all() else run
-            before = cur[p][:, sel]
-            nxt, hold = jump(before, u_move[sel], u_clock[sel])
-            when = clocks[p][sel] + hold
-            late = when > t_cap
-            done = absorbed(nxt) & ~late
-            still = ~(late | done)
-            if not still.all():
-                ids = gid[sel]
-                late, done = np.flatnonzero(late), np.flatnonzero(done)
-                times[ids[done]] = when[done]
-                hit[ids[done]] = True
-                state[:, ids[late]] = before[:, late]
-                state[:, ids[done]] = nxt[:, done]
-            if sel is run:
-                cur[p][:, sel], clocks[p][sel], run[sel] = nxt, when, still
-            else:  # every replica ran: take the new arrays as they are
-                cur[p], clocks[p], running[p] = nxt, when, still
-            del before, nxt, hold, when  # not held through the next draws
+    state, jump, absorbed = process
+    hit = absorbed(state)
+    times = np.where(hit, 0, t_cap + 1)
+    # working columns of the running replicas, whose indices are in gid
+    gid = np.flatnonzero(~hit)
+    cur = state[:, gid]
+    clock = np.zeros(gid.size, dtype=np.int64)
+    while gid.size:
+        # move, then clock uniforms: like the holds, freed before the next draws
+        nxt, hold = jump(cur, rng.random(gid.size), rng.random(gid.size))
+        clock += hold
+        del hold
+        late = clock > t_cap
+        done = absorbed(nxt) & ~late
+        still = ~(late | done)
+        if not still.all():
+            late, done = np.flatnonzero(late), np.flatnonzero(done)
+            times[gid[done]] = clock[done]
+            hit[gid[done]] = True
+            state[:, gid[late]] = cur[:, late]
+            state[:, gid[done]] = nxt[:, done]
+            gid, nxt, clock = gid[still], nxt[:, still], clock[still]
+        cur = nxt
+    return times, hit
 
 
 def _walk_process(start: np.ndarray, q: float) -> tuple:
@@ -202,8 +183,7 @@ def hitting_time_samples(
     """
     _check_batch(t_cap, replicas)
     start = np.full(replicas, params.start, dtype=np.int64)
-    [(times, hit)] = _jump_chain([_walk_process(start, params.q)], t_cap, rng)
-    return times, hit
+    return _jump_chain(_walk_process(start, params.q), t_cap, rng)
 
 
 def gaussian_limit(alpha: float, beta: float) -> float:

@@ -8,13 +8,14 @@ the dominating walk run next to the coupled pair from the same uniforms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from mixlab.bounds import CollectorSpec
 from mixlab.coupling import CoupledKernel, _pair_process
-from mixlab.walk import _check_batch, _jump_chain, _walk_process
+from mixlab.walk import _check_batch, _walk_process
 
 #: Largest number of transient pair states the exact linear-system solver
 #: will handle (dense solve).
@@ -44,6 +45,68 @@ def expected_merge_time_exact(kernel: CoupledKernel, x: int, y: int) -> float:
                 system[row_idx, index[(i2, j2)]] -= p
     hitting = np.linalg.solve(system, np.ones(size))
     return float(hitting[index[(x, y)]])
+
+
+def _side_by_side(processes: list, t_cap: int, rng: np.random.Generator) -> list:
+    """Run processes side by side through their jump chains on shared uniforms.
+
+    The multi-process form of :func:`mixlab.walk._jump_chain`, kept here
+    for :func:`dominated_pair_samples`; run with one process it draws the
+    same uniforms and returns the same samples as the package engine.
+
+    Each process is a triple (state, jump, absorbed): ``state`` is an int
+    array of shape (dims, replicas) holding the start, with the same
+    replicas for every process; ``jump(state, u_move, u_clock)`` returns
+    the state after one jump and the holding time spent before it;
+    ``absorbed(state)`` marks absorbing states, and a replica that starts
+    in one is absorbed at time 0.  Every round draws one move and one
+    clock uniform per replica that some process still runs, and each
+    process takes the uniforms of its own running replicas.  Returns
+    (times, hit) per process; times carry t_cap + 1 where the cap came
+    first.  ``state`` is overwritten with the state at absorption, or at
+    t_cap: a jump that lands after t_cap is discarded.
+    """
+    at_start = [absorbed(state) for state, _, absorbed in processes]
+    results = [(np.where(hit, 0, t_cap + 1), hit) for hit in at_start]
+    # working columns of the replicas in gid: state, clock and running flag
+    cur = [state.copy() for state, _, _ in processes]
+    clocks = [np.zeros(hit.size, dtype=np.int64) for hit in at_start]
+    running = [~hit for hit in at_start]
+    gid = np.arange(at_start[0].size)
+    while True:
+        keep = functools.reduce(np.logical_or, running)
+        if not keep.all():
+            gid = gid[keep]
+            cur = [c[:, keep] for c in cur]
+            clocks = [c[keep] for c in clocks]
+            running = [r[keep] for r in running]
+        if not gid.size:
+            return results
+        u_move = rng.random(gid.size)
+        u_clock = rng.random(gid.size)
+        for p, ((state, jump, absorbed), (times, hit)) in enumerate(zip(processes, results)):
+            run = running[p]
+            if not run.any():
+                continue
+            sel = slice(None) if run.all() else run
+            before = cur[p][:, sel]
+            nxt, hold = jump(before, u_move[sel], u_clock[sel])
+            when = clocks[p][sel] + hold
+            late = when > t_cap
+            done = absorbed(nxt) & ~late
+            still = ~(late | done)
+            if not still.all():
+                ids = gid[sel]
+                late, done = np.flatnonzero(late), np.flatnonzero(done)
+                times[ids[done]] = when[done]
+                hit[ids[done]] = True
+                state[:, ids[late]] = before[:, late]
+                state[:, ids[done]] = nxt[:, done]
+            if sel is run:
+                cur[p][:, sel], clocks[p][sel], run[sel] = nxt, when, still
+            else:  # every replica ran: take the new arrays as they are
+                cur[p], clocks[p], running[p] = nxt, when, still
+            del before, nxt, hold, when  # not held through the next draws
 
 
 @dataclass
@@ -97,7 +160,7 @@ def dominated_pair_samples(
 
     k, n = kernel.params.k, kernel.params.n
     walk = _walk_process(np.full(replicas, x - y, dtype=np.int64), (float(k) / float(n)) ** 2)
-    (tau, merged), (tau_walk, walk_hit) = _jump_chain(
+    (tau, merged), (tau_walk, walk_hit) = _side_by_side(
         [(state, counted_jump, met), walk], t_cap, rng
     )
     return DominatedPairSamples(t_cap, tau, merged, tau_walk, walk_hit, *tally)

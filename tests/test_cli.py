@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mixlab import cli, lumped
+from mixlab import cli, lumped, walk
 from mixlab.config import parse_config
 from mixlab.experiments import OracleFailure, run_experiment, run_oracle_check
 from mixlab.lumped import BirthDeathKernel, build_kernel
@@ -121,6 +121,25 @@ def test_cli_horizon_error_exits_cleanly(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: d(t) did not reach eps=")
     assert "within the horizon 5" in captured.err
+
+
+def test_cli_allocation_failure_exits_cleanly(tmp_path, monkeypatch, capsys):
+    """Arrays too large to allocate are exit 1, not a traceback.
+
+    The sampler is patched to fail as numpy does, so nothing is allocated.
+    """
+    def too_large(params, t_cap, replicas, rng):
+        raise MemoryError(f"Unable to allocate 72.8 TiB for an array with shape ({replicas},)")
+
+    monkeypatch.setattr(walk, "hitting_time_samples", too_large)
+    cfg = _write_config(tmp_path, "c.json", {"kind": "hitting", "m": 2, "q": 0.5,
+                                             "steps_values": [10], "replicas": 10**13})
+    assert cli.main(["hitting", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: Unable to allocate 72.8 TiB for an array with shape (10000000000000,)\n"
+    )
 
 
 def test_cli_oracle_check_passes(tmp_path):

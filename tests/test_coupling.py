@@ -1,18 +1,21 @@
 """Ordered-pair coupling: marginals, order preservation, merge and domination."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mixlab import ModelParams, replica_stream
 from mixlab.coupling import (
+    _PAIR_MOVES,
+    CoupledKernel,
     build_coupled_kernel,
     check_skeleton_invariants,
     coupling_tv_upper_bound,
     merge_time_samples,
 )
-from mixlab.lumped import build_kernel, d_curve
+from mixlab.lumped import BirthDeathKernel, build_kernel, d_curve
 from reference import dominated_pair_samples, expected_merge_time_exact
 
 
@@ -68,6 +71,31 @@ def test_move_thresholds_are_cumulative():
     a, b, c, q = coupled.skeleton_thresholds(ii, jj)
     assert (a <= b).all() and (b <= c).all() and (c <= 1.0).all()
     assert (a >= 0).all() and (q > 0).all() and (q <= 1.0).all()
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (8, 3), (16, 5), (32, 16), (64, 21)])
+def test_jump_law_matches_transition_row_exactly(n, k):
+    """The sampler's jump rate and move intervals give the joint kernel's row.
+
+    With n a power of two every kernel entry is a dyadic rational, so the
+    float rows are exact; the thresholds are then evaluated over the same
+    entries as fractions, and every comparison is an equality.
+    """
+    coupled = build_coupled_kernel(ModelParams(n, k))
+    base = coupled.base
+    exact = CoupledKernel(BirthDeathKernel(base.params, *(
+        np.array([Fraction(v) for v in rates], dtype=object)
+        for rates in (base.up, base.down, base.stay)
+    )))
+    for i in range(k + 1):
+        for j in range(i):
+            row = dict(coupled.transition_row(i, j))
+            a, b, c, q = exact.skeleton_thresholds(i, j)
+            assert q == 1 - Fraction(row.pop((i, j), 0.0))
+            assert coupled.skeleton_thresholds(i, j)[3] == q
+            for (di, dj), width in zip(_PAIR_MOVES.T.tolist(), (a, b - a, c - b, 1 - c)):
+                assert width * q == Fraction(row.pop((i + di, j + dj), 0.0))
+            assert row == {}
 
 
 def test_skeleton_invariants_frozen_example():

@@ -1,0 +1,56 @@
+"""Every public name of the package has a caller outside the tests.
+
+A public function, class or method that only tests reach is API kept
+for the tests' sake; it belongs in the tests or goes.  The scan reads
+the package, the demos and the benchmark as syntax trees and counts a
+name as referenced when it appears as a name or an attribute outside
+its own definition.  It matches by name, not by module, so it can miss
+an unused name that shares its spelling with a used one, never the
+other way round.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mixlab"
+CALLERS = ("src", "demos", "perfbench")
+
+
+def _public_definitions():
+    """(dotted name, node) of each public function, class and method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each identifier is read as a name or an attribute."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    used = Counter()
+    for folder in CALLERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used.update(_references(ast.parse(path.read_text(encoding="utf-8"))))
+    definitions = list(_public_definitions())
+    assert len(definitions) > 50  # the scan found the package
+    unused = [
+        dotted for dotted, node in definitions
+        if used[node.name] <= _references(node)[node.name]
+    ]
+    assert unused == []

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mixlab import replica_stream
+from mixlab import ModelParams, replica_stream
+from mixlab.coupling import _pair_process, build_coupled_kernel, merge_time_samples
 from mixlab.walk import (
     WalkParams,
+    _jump_chain,
+    _walk_process,
     diffusion_majorant,
     gaussian_limit,
     hitting_time_samples,
     survival_bruteforce,
     survival_exact,
 )
+from reference import _side_by_side
 
 
 def test_survival_frozen_examples():
@@ -22,23 +26,30 @@ def test_survival_frozen_examples():
     assert survival_exact(1, 2, 1.0) == pytest.approx(0.5, abs=1e-15)
     assert survival_exact(2, 2, 1.0) == pytest.approx(0.75, abs=1e-15)
     assert survival_exact(3, 0, 0.7) == 1.0
-    assert survival_bruteforce(1, 1, 0.5) == pytest.approx(0.75, abs=1e-15)
+    assert survival_bruteforce(1, 1, 0.5)[1] == pytest.approx(0.75, abs=1e-15)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 1.0])
 def test_exact_matches_bruteforce(q):
     """Reflection identity against the absorbing-wall evolution, no shared code."""
     for m in range(1, 5):
+        brute = survival_bruteforce(m, 25, q)
         for steps in range(26):
-            assert survival_exact(m, steps, q) == pytest.approx(
-                survival_bruteforce(m, steps, q), abs=1e-13
-            )
+            assert survival_exact(m, steps, q) == pytest.approx(brute[steps], abs=1e-13)
+
+
+@pytest.mark.parametrize("m,q", [(1, 0.5), (4, 0.1), (7, 1.0)])
+def test_bruteforce_curve_keeps_the_bits_of_each_stopped_run(m, q):
+    curve = survival_bruteforce(m, 40, q)
+    assert curve.shape == (41,)
+    for steps in range(41):
+        assert curve[steps] == survival_bruteforce(m, steps, q)[-1]
 
 
 def test_exact_matches_bruteforce_long_horizon():
     # a long horizon puts a thousand move counts into the binomial mixture
     assert survival_exact(10, 3000, 0.3) == pytest.approx(
-        survival_bruteforce(10, 3000, 0.3), abs=1e-12
+        survival_bruteforce(10, 3000, 0.3)[-1], abs=1e-12
     )
 
 
@@ -136,3 +147,53 @@ def test_survival_approaches_gaussian_limit():
     for alpha, beta in [(1.0, 1.0), (0.5, 2.0)]:
         exact = survival_exact(math.ceil(alpha * scale), int(beta * n), q)
         assert abs(exact - gaussian_limit(alpha, beta)) < 0.04
+
+
+def _assert_same_run(got, ref, got_rng, ref_rng):
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert got_rng.random() == ref_rng.random()  # the same number of uniforms drawn
+
+
+@pytest.mark.parametrize("x,y,t_cap", [(5, 0, 300), (4, 1, 25), (5, 0, 0), (3, 3, 40)])
+def test_merge_sampler_equals_reference_driver(x, y, t_cap):
+    """The one-process engine is the side-by-side driver run with one process."""
+    kernel = build_coupled_kernel(ModelParams(20, 5))
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = merge_time_samples(kernel, x, y, t_cap, 500, rng)
+    state, jump, met = _pair_process(kernel, x, y, 500)
+    [(tau, merged)] = _side_by_side([(state, jump, met)], t_cap, ref_rng)
+    _assert_same_run((got.tau, got.merged, got.w1, got.w2), (tau, merged, state[0], state[1]),
+                     rng, ref_rng)
+
+
+@pytest.mark.parametrize("q,m,t_cap", [(0.3, 2, 500), (1.0, 1, 60), (0.2, 4, 0)])
+def test_hitting_sampler_equals_reference_driver(q, m, t_cap):
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    got = hitting_time_samples(WalkParams(q, m), t_cap, 500, rng)
+    start = np.full(500, m, dtype=np.int64)
+    [ref] = _side_by_side([_walk_process(start, q)], t_cap, ref_rng)
+    _assert_same_run(got, ref, rng, ref_rng)
+
+
+@pytest.mark.parametrize("t_cap", [0, 30])
+def test_engine_equals_reference_driver_with_replicas_absorbed_at_start(t_cap):
+    """Replicas that start absorbed draw nothing, in the engine and the reference."""
+    kernel = build_coupled_kernel(ModelParams(20, 5))
+
+    def pair():
+        state, jump, met = _pair_process(kernel, 5, 0, 300)
+        state[:, ::3] = 2  # every third replica starts on the diagonal
+        return state, jump, met
+
+    def walk():
+        return _walk_process(np.arange(300, dtype=np.int64) % 4, 0.4)
+
+    for make in (pair, walk):
+        engine, reference = make(), make()
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        times, hit = _jump_chain(engine, t_cap, rng)
+        [ref] = _side_by_side([reference], t_cap, ref_rng)
+        assert hit.sum() >= 75 and (times[hit] == 0).sum() >= 75
+        _assert_same_run((times, hit, engine[0]), (*ref, reference[0]), rng, ref_rng)
