@@ -14,20 +14,20 @@ that is very unlikely in equilibrium.  Subtracting the exact stationary
 probability of that event from the survival probability of the
 collection time turns the tail into a certified lower bound on total
 variation, either simulated (with its standard error) or bounded in
-closed form through Chebyshev's inequality.
+closed form through Chebyshev's inequality.  One body serves both
+bounds; its tail estimate is :func:`mixlab.walk.tail_estimate`, which
+the coupling and hitting estimates use too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exclusion import ModelParams
 from .lumped import equilibrium
-
-_DEFAULT_REPLICAS = 100_000
+from .walk import tail_estimate
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,6 @@ def single_draw_collection_samples(
     return tau
 
 
-def collection_time_samples(
-    spec: CollectorSpec,
-    replicas: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Collection time in chain steps: ceil(tau'/2), two draws per step."""
-    tau_single = single_draw_collection_samples(spec, replicas, rng)
-    return (tau_single + 1) // 2
-
-
 @dataclass(frozen=True)
 class TvLowerBound:
     """A certified lower bound on distance to stationarity at one time.
@@ -168,30 +158,31 @@ def _chebyshev_survival(spec: CollectorSpec, t: int) -> float:
     return max(0.0, 1.0 - variance / (shortfall * shortfall))
 
 
-def _min_collection_steps(spec: CollectorSpec) -> int:
-    # each chain step selects at most two fresh block sites
-    return (spec.k - spec.residual + 1) // 2
+def _lower_bound(
+    spec: CollectorSpec, t: int, correction: float, replicas: int, rng: np.random.Generator
+) -> TvLowerBound:
+    """max(0, P[collection needs more than t chain steps] - correction).
 
-
-def _survival_estimate(
-    spec: CollectorSpec,
-    t: int,
-    replicas: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    if t < _min_collection_steps(spec):
-        return 1.0, 0.0  # deterministic: the collection cannot finish this early
-    samples = collection_time_samples(spec, replicas, rng)
-    survival = float(np.mean(samples > t))
-    stderr = math.sqrt(max(survival * (1.0 - survival), 0.0) / replicas)
-    return survival, stderr
+    Two draws per chain step: before ceil((k - residual)/2) steps the
+    survival is exactly 1, and nothing is sampled.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t < (spec.k - spec.residual + 1) // 2:
+        survival, stderr = 1.0, 0.0
+    else:
+        steps = (single_draw_collection_samples(spec, replicas, rng) + 1) // 2
+        survival, stderr = tail_estimate(steps, t)
+    value = max(0.0, survival - correction)
+    chebyshev = max(0.0, _chebyshev_survival(spec, t) - correction)
+    return TvLowerBound(t, survival, stderr, correction, value, chebyshev)
 
 
 def unlabeled_tv_lower_bound(
     params: ModelParams,
     t: int,
     *,
-    replicas: int = _DEFAULT_REPLICAS,
+    replicas: int,
     rng: np.random.Generator,
 ) -> TvLowerBound:
     """Lower bound on d(t) from the event "some particle never selected".
@@ -201,15 +192,8 @@ def unlabeled_tv_lower_bound(
     that event has probability exactly 1 - pi(0) with hypergeometric pi.
     Hence d(t) >= P[collection time > t] - (1 - pi(0)).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    spec = CollectorSpec(params.n, params.k, 0)
-    survival, stderr = _survival_estimate(spec, t, replicas, rng)
-    pi0 = float(equilibrium(params)[0])
-    correction = 1.0 - pi0
-    value = max(0.0, survival - correction)
-    chebyshev = max(0.0, _chebyshev_survival(spec, t) - correction)
-    return TvLowerBound(t, survival, stderr, correction, value, chebyshev)
+    correction = 1.0 - float(equilibrium(params)[0])
+    return _lower_bound(CollectorSpec(params.n, params.k, 0), t, correction, replicas, rng)
 
 
 def labeled_tv_lower_bound(
@@ -217,7 +201,7 @@ def labeled_tv_lower_bound(
     t: int,
     threshold: int,
     *,
-    replicas: int = _DEFAULT_REPLICAS,
+    replicas: int,
     rng: np.random.Generator,
 ) -> TvLowerBound:
     """Lower bound on labeled-chain distance via unmoved labeled particles.
@@ -230,15 +214,9 @@ def labeled_tv_lower_bound(
     distance is at least P[collection with residual=threshold > t] -
     1/threshold.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     if threshold < 1:
         raise ValueError("threshold must be at least 1")
     if threshold >= params.k:
         raise ValueError(f"threshold must be below k={params.k}, got {threshold}")
     spec = CollectorSpec(params.n, params.k, threshold)
-    survival, stderr = _survival_estimate(spec, t, replicas, rng)
-    correction = 1.0 / threshold
-    value = max(0.0, survival - correction)
-    chebyshev = max(0.0, _chebyshev_survival(spec, t) - correction)
-    return TvLowerBound(t, survival, stderr, correction, value, chebyshev)
+    return _lower_bound(spec, t, 1.0 / threshold, replicas, rng)

@@ -31,7 +31,6 @@ of :mod:`mixlab.walk`.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from .exclusion import ModelParams
 from .lumped import BirthDeathKernel, build_kernel
-from .walk import _check_batch, _geometric_from_uniform, _jump_chain
+from .walk import _check_batch, _geometric_from_uniform, _jump_chain, tail_estimate
 
 #: (W1, W2) steps of the four off-diagonal moves, in the order the
 #: skeleton thresholds split them: W1 up, W2 down, W1 down, W2 up.
@@ -212,9 +211,6 @@ def coupling_tv_upper_bound(
     if x is None:
         x = params.k
     samples = merge_time_samples(kernel, x, y, max(t_values), replicas, rng)
-    out = []
-    for t in t_values:
-        survive = float(np.mean(samples.tau > t))
-        stderr = math.sqrt(max(survive * (1.0 - survive), 0.0) / replicas)
-        out.append(CouplingBound(params, t, replicas, survive, stderr))
-    return out
+    return [
+        CouplingBound(params, t, replicas, *tail_estimate(samples.tau, t)) for t in t_values
+    ]

@@ -40,6 +40,12 @@ def _base_meta(config: ExperimentConfig) -> dict:
     }
 
 
+def _label(x: float) -> str:
+    """``format(x, "g")`` when it reads back as x, else ``repr(x)``."""
+    short = format(x, "g")
+    return short if float(short) == x else repr(x)
+
+
 def center_large_k(n: int) -> float:
     """Cutoff center n log(n) / 4 (block comparable to sqrt(n) or larger)."""
     return 0.25 * n * math.log(n)
@@ -65,16 +71,12 @@ def run_tv_curve(config: ExperimentConfig) -> ResultRecord:
     unreached = []
     for eps in config.eps:
         t = lumped.t_mix(profile, eps)
-        meta[f"t_mix[{eps:g}]"] = t
+        meta[f"t_mix[{_label(eps)}]"] = t
         if t is None:
             unreached.append(eps)
     warning = "eps_not_reached" if unreached else ""
-    rows = []
-    last = profile.times.size - 1
-    for idx in range(profile.times.size):
-        rows.append(
-            (int(profile.times[idx]), float(profile.tv[idx]), warning if idx == last else "")
-        )
+    rows = [(t, d, "") for t, d in zip(profile.times.tolist(), profile.tv.tolist())]
+    rows[-1] = rows[-1][:2] + (warning,)
     return ResultRecord("tv-curve", meta, ["t", "d", "warning"], rows)
 
 
@@ -94,7 +96,7 @@ def _sweep_point(config: ExperimentConfig, n: int) -> list[tuple]:
 
 def run_sweep(config: ExperimentConfig) -> ResultRecord:
     meta = _base_meta(config)
-    meta["k_rule"] = f"{config.k_rule[0]}:{config.k_rule[1]:g}"
+    meta["k_rule"] = f"{config.k_rule[0]}:{_label(config.k_rule[1])}"
     meta["n_grid"] = ",".join(str(n) for n in config.n_grid)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -209,8 +211,7 @@ def run_hitting(config: ExperimentConfig) -> ResultRecord:
     rows = []
     for steps in config.steps_values:
         exact = walk.survival_exact(config.m, steps, config.q)
-        simulated = float(np.mean(times > steps))
-        stderr = math.sqrt(max(simulated * (1.0 - simulated), 0.0) / config.replicas)
+        simulated, stderr = walk.tail_estimate(times, steps)
         rows.append((steps, exact, simulated, stderr))
     return ResultRecord("hitting", meta, ["steps", "exact", "simulated", "stderr"], rows)
 
@@ -242,31 +243,22 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
     def add(identity: str, instance: str, residual: float) -> None:
         rows.append((identity, instance, residual, tol, "pass" if residual <= tol else "fail"))
 
-    t_grid = list(range(0, config.t_max + 1))
     for params in _instances(config.n_max):
         label = f"n={params.n},k={params.k}"
         kernel = factory(params)
         pi = lumped.equilibrium(params)
 
         brute = exclusion.brute_force_tv_curve(params, exclusion.UNLABELED, config.t_max)
-        p = lumped.delta_at(params.k, params.k + 1)
-        resid = abs(brute[0] - lumped.tv_distance(p, pi))
-        mean_resid = abs(lumped.mean_w_closed_form(params, params.k, 0) - lumped.dist_mean(p))
-        second_resid = abs(
-            lumped.second_moment_closed_form(params, 0) - lumped.dist_second_moment(p)
-        )
-        stepper = lumped._Stepper(kernel, p)
-        for t in t_grid[1:]:
-            stepper.advance(1)
+        mean, second = lumped.moment_curves(params, config.t_max)
+        stepper = lumped._Stepper(kernel, lumped.delta_at(params.k, params.k + 1))
+        resid = mean_resid = second_resid = 0.0
+        for t in range(config.t_max + 1):
+            if t:
+                stepper.advance(1)
             p = stepper.law()
             resid = max(resid, abs(brute[t] - lumped.tv_distance(p, pi)))
-            mean_resid = max(
-                mean_resid, abs(lumped.mean_w_closed_form(params, params.k, t) - lumped.dist_mean(p))
-            )
-            second_resid = max(
-                second_resid,
-                abs(lumped.second_moment_closed_form(params, t) - lumped.dist_second_moment(p)),
-            )
+            mean_resid = max(mean_resid, abs(mean[t] - lumped.dist_mean(p)))
+            second_resid = max(second_resid, abs(second[t] - lumped.dist_second_moment(p)))
         add("lumping", label, resid)
         add("moment-mean", label, mean_resid)
         add("moment-second", label, second_resid)
@@ -313,7 +305,7 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
             brute = walk.survival_bruteforce(m, config.walk_steps_max, q)
             for steps in range(0, config.walk_steps_max + 1):
                 worst = max(worst, abs(walk.survival_exact(m, steps, q) - brute[steps]))
-        add("reflection", f"q={q:g}", worst)
+        add("reflection", f"q={_label(q)}", worst)
 
     meta = _base_meta(config)
     meta.update(

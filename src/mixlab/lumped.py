@@ -15,12 +15,11 @@ approximations anywhere are float rounding and the subnormal flush: an
 evolved entry that falls below the smallest normal double (2.2e-308) is
 set to zero, so at most (k + 1) * steps * 2.2e-308 of mass is dropped.
 
-Two closed forms drive the moment machinery: the conditional mean of a
-step is affine in W, so E[W_t] relaxes geometrically with factor 1 - 2/n
-toward k^2/n, and the second moment obeys a linear recursion with factor
-(1 - 2/n)^2 whose coefficients follow from the kernel above.  The
-``oracle-check`` experiment checks both against direct distribution
-evolution.
+One call of :func:`moment_curves` gives both moment curves: E[W_t]
+relaxes geometrically with factor 1 - 2/n toward k^2/n, and E[W_t^2]
+obeys a linear recursion with factor (1 - 2/n)^2 whose coefficients
+follow from the kernel above.  The ``oracle-check`` experiment checks
+both against direct distribution evolution.
 """
 
 from __future__ import annotations
@@ -277,6 +276,17 @@ def _distances(stepper: _Stepper, pi: np.ndarray, stride: int, count: int):
         done += part.shape[0]
 
 
+def _no_rise(blocks):
+    """Pass blocks of d through; a rise above 1e-12 between two values raises."""
+    last = math.inf
+    for tv in blocks:
+        rise = float(np.diff(tv, prepend=last).max())
+        if rise > _TV_WOBBLE:
+            raise RuntimeError(f"d(t) rose by {rise:.3g} between samples, beyond float wobble")
+        last = tv[-1]
+        yield tv
+
+
 def evolve(dist: np.ndarray, kernel: BirthDeathKernel, steps: int) -> np.ndarray:
     """Push a distribution forward ``steps`` steps, O(k) work per step.
 
@@ -320,47 +330,40 @@ def dist_variance(dist: np.ndarray) -> float:
     return dist_second_moment(dist) - m * m
 
 
-def mean_w_closed_form(params: ModelParams, w0: int, t: int) -> float:
-    """E[W_t] from W_0 = w0: geometric relaxation toward k^2/n."""
-    n, k = params.n, params.k
-    if not 0 <= w0 <= k:
-        raise ValueError("w0 out of range")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    fixed = k * k / n
-    return (w0 - fixed) * (1.0 - 2.0 / n) ** t + fixed
+def moment_curves(params: ModelParams, t_max: int, w0: int | None = None) -> tuple[list, list]:
+    """E[W_t] and E[W_t^2] from W_0 = w0 (default k) for t = 0..t_max, in one call.
 
-
-def second_moment_closed_form(params: ModelParams, t: int, w0: int | None = None) -> float:
-    """E[W_t^2] from W_0 = w0 (default k), by the exact linear recursion.
-
-    One step of the chain satisfies
+    The mean relaxes geometrically toward k^2/n.  The second moment
+    follows the exact linear recursion
 
         E[W_{t+1}^2] = (1 - 2/n)^2 E[W_t^2]
                        + (4k^2/n^2 - 8k/n^2 + 2/n) E[W_t] + 2k^2/n^2,
 
-    which follows from the kernel's conditional increment moments
-    E[dW | W=i] = 2k^2/n^2 - 2i/n and E[dW^2 | W=i] = up(i) + down(i).
+    from the kernel's conditional increment moments
+    E[dW | W=i] = 2k^2/n^2 - 2i/n and E[dW^2 | W=i] = up(i) + down(i);
+    it carries its own mean, stepped alongside it.
     """
     n, k = params.n, params.k
     if w0 is None:
         w0 = k
     if not 0 <= w0 <= k:
         raise ValueError("w0 out of range")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if t_max < 0:
+        raise ValueError("t_max must be nonnegative")
     nf = float(n)
-    factor = (1.0 - 2.0 / nf) ** 2
-    lin = 4.0 * k * k / nf**2 - 8.0 * k / nf**2 + 2.0 / nf
-    const = 2.0 * k * k / nf**2
-    m2 = float(w0 * w0)
-    m1 = float(w0)
     decay = 1.0 - 2.0 / nf
     fixed = k * k / nf
-    for _ in range(t):
+    factor = decay**2
+    lin = 4.0 * k * k / nf**2 - 8.0 * k / nf**2 + 2.0 / nf
+    const = 2.0 * k * k / nf**2
+    mean = [(w0 - fixed) * decay**t + fixed for t in range(t_max + 1)]
+    m1, m2 = float(w0), float(w0 * w0)
+    second = [m2]
+    for _ in range(t_max):
         m2 = factor * m2 + lin * m1 + const
         m1 = decay * (m1 - fixed) + fixed
-    return m2
+        second.append(m2)
+    return mean, second
 
 
 def tv_lower_bound_second_moment(mu: np.ndarray, pi: np.ndarray) -> float:
@@ -419,14 +422,10 @@ def d_curve(params: ModelParams, t_max: int, stride: int = 1) -> MixingProfile:
     times = np.arange(0, t_max + 1, stride)
     tv = np.empty(times.size)
     done = 0
-    for block in _distances(stepper, pi, stride, times.size):
+    for block in _no_rise(_distances(stepper, pi, stride, times.size)):
         tv[done : done + block.size] = block
         done += block.size
-    # clamp float wobble in the tail of the curve; anything larger is an error
-    if tv.size > 1:
-        rise = float(np.diff(tv).max())
-        if rise > _TV_WOBBLE:
-            raise RuntimeError(f"d(t) rose by {rise:.3g} between samples, beyond float wobble")
+    # clamp the float wobble that _no_rise lets through
     np.minimum.accumulate(tv, out=tv)
     times.setflags(write=False)
     tv.setflags(write=False)
@@ -478,8 +477,9 @@ def mixing_times(
 ) -> dict[float, int]:
     """Exact threshold times inf{t : d(t) <= eps} for each requested eps.
 
-    A single stride-1 evolution serves all thresholds.  Raises if any
-    threshold is not reached by the (generous) horizon.
+    A single stride-1 evolution serves all thresholds.  Raises if d(t)
+    rises beyond float wobble or a threshold is not reached by the
+    (generous) horizon.
     """
     eps_list = sorted(set(float(e) for e in eps_values), reverse=True)
     if not eps_list:
@@ -491,15 +491,14 @@ def mixing_times(
     pi = equilibrium(params)
     stepper = _Stepper(kernel, delta_at(params.k, params.k + 1))
     out: dict[float, int] = {}
-    pending = list(eps_list)
     t = 0
-    for tv in _distances(stepper, pi, 1, max(horizon, 0) + 1):
-        while pending:
-            hits = np.flatnonzero(tv <= pending[0])
+    for tv in _no_rise(_distances(stepper, pi, 1, max(horizon, 0) + 1)):
+        while eps_list:
+            hits = np.flatnonzero(tv <= eps_list[0])
             if hits.size == 0:
                 break
-            out[pending.pop(0)] = t + int(hits[0])
-        if not pending:
+            out[eps_list.pop(0)] = t + int(hits[0])
+        if not eps_list:
             return out
         t += tv.size
-    raise RuntimeError(f"d(t) did not reach eps={pending[0]} within the horizon {horizon}")
+    raise RuntimeError(f"d(t) did not reach eps={eps_list[0]} within the horizon {horizon}")

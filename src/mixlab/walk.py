@@ -186,6 +186,12 @@ def hitting_time_samples(
     return _jump_chain(_walk_process(start, params.q), t_cap, rng)
 
 
+def tail_estimate(samples: np.ndarray, t: int) -> tuple[float, float]:
+    """P[T > t] from samples of T: the share above t and its binomial standard error."""
+    share = float(np.mean(samples > t))
+    return share, math.sqrt(max(share * (1.0 - share), 0.0) / samples.size)
+
+
 def gaussian_limit(alpha: float, beta: float) -> float:
     """Diffusive limit of the survival probability: P[|N(0,1)| <= alpha/sqrt(beta)].
 

@@ -54,13 +54,14 @@ def test_02_moment_identities():
     """
     start = time.perf_counter()
     worst = 0.0
-    witness = lumped.second_moment_closed_form(ModelParams(4, 2), 1)
+    witness = lumped.moment_curves(ModelParams(4, 2), 1)[1][1]
     for n in (4, 10, 100, 1000):
         for k in range(1, n // 2 + 1):
             params = ModelParams(n, k)
             kernel = lumped.build_kernel(params)
             for w0 in {0, k // 2, k}:
                 p = lumped.delta_at(w0, k + 1)
+                mean_t, second_t = lumped.moment_curves(params, 100, w0)
                 prev = 0
                 for t in (0, 1, 2, 5, 10, 100):
                     p = lumped.evolve(p, kernel, t - prev)
@@ -69,10 +70,8 @@ def test_02_moment_identities():
                     second = lumped.dist_second_moment(p)
                     worst = max(
                         worst,
-                        abs(mean - lumped.mean_w_closed_form(params, w0, t))
-                        / max(1.0, abs(mean)),
-                        abs(second - lumped.second_moment_closed_form(params, t, w0=w0))
-                        / max(1.0, abs(second)),
+                        abs(mean - mean_t[t]) / max(1.0, abs(mean)),
+                        abs(second - second_t[t]) / max(1.0, abs(second)),
                     )
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and witness == 2.5 and elapsed < 5

@@ -9,7 +9,6 @@ from scipy import stats
 from mixlab import LABELED, ModelParams, replica_stream
 from mixlab.bounds import (
     CollectorSpec,
-    collection_time_samples,
     collector_moments,
     labeled_tv_lower_bound,
     single_draw_collection_samples,
@@ -61,7 +60,7 @@ def test_residual_shortens_collection():
 
 def test_chain_steps_halve_the_draw_count():
     spec = CollectorSpec(30, 6)
-    steps = collection_time_samples(spec, 10_000, replica_stream(41, 2))
+    steps = (single_draw_collection_samples(spec, 10_000, replica_stream(41, 2)) + 1) // 2
     halved = (single_draw_collection_samples(spec, 10_000, replica_stream(41, 3)) + 1) // 2
     assert stats.ks_2samp(steps, halved).pvalue > 0.01
     assert steps.min() >= (6 + 1) // 2  # at most two fresh sites per chain step
@@ -116,7 +115,7 @@ def test_sampler_determinism_and_single_draw():
     a = single_draw_collection_samples(spec, 300, replica_stream(41, 6))
     b = single_draw_collection_samples(spec, 300, replica_stream(41, 6))
     np.testing.assert_array_equal(a, b)
-    value = collection_time_samples(spec, 1, replica_stream(41, 7))[0]
+    value = (single_draw_collection_samples(spec, 1, replica_stream(41, 7))[0] + 1) // 2
     assert value >= 3
     with pytest.raises(ValueError):
         single_draw_collection_samples(spec, 0, replica_stream(41, 8))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mixlab import cli, lumped, walk
+from mixlab import ModelParams, cli, lumped, walk
 from mixlab.config import parse_config
 from mixlab.experiments import OracleFailure, run_experiment, run_oracle_check
 from mixlab.lumped import BirthDeathKernel, build_kernel
@@ -251,6 +251,22 @@ def test_tv_curve_warning_when_eps_unreachable():
     assert record.meta["t_mix[0.01]"] is None
     assert record.rows[-1][2] == "eps_not_reached"
     assert all(row[2] == "" for row in record.rows[:-1])
+
+
+def test_labels_keep_values_apart_beyond_six_digits():
+    """Two eps (or q) equal to 6 significant digits get two labels."""
+    eps = [0.1, 0.1000001]
+    record = run_experiment(
+        parse_config({"kind": "tv-curve", "n": 30, "k": 6, "t_max": 200, "eps": eps})
+    )
+    times = lumped.mixing_times(ModelParams(30, 6), eps)
+    assert record.meta["t_mix[0.1]"] == times[0.1]
+    assert record.meta["t_mix[0.1000001]"] == times[0.1000001]
+    record = run_oracle_check(
+        parse_config({"kind": "oracle-check", "n_max": 2, "t_max": 2, "pair_n_max": 2,
+                      "walk_m_max": 1, "walk_steps_max": 2, "walk_q": [0.1, 0.1000001]})
+    )
+    assert [row[1] for row in record.rows if row[0] == "reflection"] == ["q=0.1", "q=0.1000001"]
 
 
 def test_coupling_record_bounds_exact_distance():

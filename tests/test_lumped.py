@@ -20,9 +20,8 @@ from mixlab.lumped import (
     equilibrium,
     evolve,
     laws_at,
-    mean_w_closed_form,
     mixing_times,
-    second_moment_closed_form,
+    moment_curves,
     t_mix,
     tv_distance,
     tv_lower_bound_second_moment,
@@ -136,16 +135,16 @@ def test_tv_distance_properties():
 
 def test_moment_closed_forms_frozen():
     params = ModelParams(4, 2)
-    assert mean_w_closed_form(params, 2, 0) == 2.0
-    assert mean_w_closed_form(params, 2, 1) == pytest.approx(1.5, abs=1e-15)
+    assert moment_curves(params, 0, 2)[0][0] == 2.0
+    assert moment_curves(params, 1, 2)[0][1] == pytest.approx(1.5, abs=1e-15)
     # the corrected-constant witness: E[W_1^2] from W_0 = 2 is 2.5
-    assert second_moment_closed_form(params, 1) == pytest.approx(2.5, abs=1e-14)
+    assert moment_curves(params, 1)[1][1] == pytest.approx(2.5, abs=1e-14)
     # the t -> infinity limits are the stationary moments
     pi = equilibrium(params)
-    assert mean_w_closed_form(params, 2, 10_000) == pytest.approx(
+    assert moment_curves(params, 10_000, 2)[0][10_000] == pytest.approx(
         float(np.arange(3) @ pi), abs=1e-12
     )
-    assert second_moment_closed_form(params, 10_000) == pytest.approx(
+    assert moment_curves(params, 10_000)[1][10_000] == pytest.approx(
         float((np.arange(3) ** 2) @ pi), abs=1e-12
     )
 
@@ -156,20 +155,60 @@ def test_moment_closed_forms_match_evolution(n, k, w0):
     params = ModelParams(n, k)
     kernel = build_kernel(params)
     p = delta_at(w0, k + 1)
+    mean, second = moment_curves(params, 39, w0)
     for t in range(40):
-        assert dist_mean(p) == pytest.approx(
-            mean_w_closed_form(params, w0, t), rel=1e-12, abs=1e-12
-        )
-        assert dist_second_moment(p) == pytest.approx(
-            second_moment_closed_form(params, t, w0=w0), rel=1e-12, abs=1e-12
-        )
+        assert dist_mean(p) == pytest.approx(mean[t], rel=1e-12, abs=1e-12)
+        assert dist_second_moment(p) == pytest.approx(second[t], rel=1e-12, abs=1e-12)
         p = evolve(p, kernel, 1)
+
+
+def _mean_per_t(params, w0, t):
+    """E[W_t] as computed before the one-pass curves: a closed form per t."""
+    n, k = params.n, params.k
+    fixed = k * k / n
+    return (w0 - fixed) * (1.0 - 2.0 / n) ** t + fixed
+
+
+def _second_per_t(params, t, w0):
+    """E[W_t^2] as computed before the one-pass curves: the recursion rerun from 0."""
+    n, k = params.n, params.k
+    nf = float(n)
+    factor = (1.0 - 2.0 / nf) ** 2
+    lin = 4.0 * k * k / nf**2 - 8.0 * k / nf**2 + 2.0 / nf
+    const = 2.0 * k * k / nf**2
+    m2 = float(w0 * w0)
+    m1 = float(w0)
+    decay = 1.0 - 2.0 / nf
+    fixed = k * k / nf
+    for _ in range(t):
+        m2 = factor * m2 + lin * m1 + const
+        m1 = decay * (m1 - fixed) + fixed
+    return m2
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (10, 4), (100, 31), (1000, 200)])
+def test_moment_curves_keep_the_bits_of_the_per_t_forms(n, k):
+    params = ModelParams(n, k)
+    for w0 in (0, k):
+        mean, second = moment_curves(params, 10_000, w0)
+        assert len(mean) == len(second) == 10_001
+        for t in (0, 1, 37, 10_000):
+            assert mean[t] == _mean_per_t(params, w0, t)
+            assert second[t] == _second_per_t(params, t, w0)
+
+
+def test_moment_curves_validation():
+    params = ModelParams(10, 4)
+    assert moment_curves(params, 0) == ([4.0], [16.0])
+    for args in ((-1,), (3, -1), (3, 5)):
+        with pytest.raises(ValueError):
+            moment_curves(params, *args)
 
 
 def test_mean_decays_monotonically_from_packed_start():
     params = ModelParams(50, 10)
     target = 10 * 10 / 50.0
-    means = [mean_w_closed_form(params, 10, t) for t in range(60)]
+    means = moment_curves(params, 59, 10)[0]
     assert all(a > b for a, b in zip(means, means[1:]))
     assert all(m > target for m in means)
 
@@ -354,6 +393,17 @@ def test_d_curve_rejects_a_rise_beyond_wobble(monkeypatch):
     monkeypatch.setattr(lumped, "_distances", fake([0.9, 0.5, 0.5 + 1e-9, 0.1]))
     with pytest.raises(RuntimeError, match="rose by"):
         d_curve(params, 3)
+
+
+def test_rise_of_the_true_curve_is_an_error(monkeypatch):
+    """Against a point mass at k - 1, d(t) falls and then rises: both scans say so."""
+    params = ModelParams(40, 8)
+    monkeypatch.setattr(lumped, "equilibrium", lambda p: delta_at(p.k - 1, p.k + 1))
+    with pytest.raises(RuntimeError, match="rose by"):
+        d_curve(params, 400)
+    # eps = 0.01 is never reached; the rise is found long before the horizon
+    with pytest.raises(RuntimeError, match="rose by"):
+        mixing_times(params, (0.01,))
 
 
 def test_t_mix_and_mixing_times_agree():

@@ -54,3 +54,36 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if used[node.name] <= _references(node)[node.name]
     ]
     assert unused == []
+
+
+def _imported_names(tree: ast.AST):
+    """(line, name) of each name an import binds, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _exported(tree: ast.Module) -> set:
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_in_the_package_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _references(tree)
+        used.update(_exported(tree))
+        unused += [f"{path.name}:{line} {name}" for line, name in _imported_names(tree)
+                   if not used[name]]
+    assert len(list(PACKAGE.glob("*.py"))) > 10  # the scan found the package
+    assert unused == []

@@ -17,6 +17,7 @@ from mixlab.walk import (
     hitting_time_samples,
     survival_bruteforce,
     survival_exact,
+    tail_estimate,
 )
 from reference import _side_by_side
 
@@ -115,6 +116,15 @@ def test_hitting_validation_and_single_path():
         hitting_time_samples(params, 10, 0, replica_stream(31, 2))
     times, hit = hitting_time_samples(params, 1000, 1, replica_stream(31, 3))
     assert not hit[0] or 1 <= times[0] <= 1000
+
+
+def test_tail_estimate_edges():
+    samples = np.array([3, 5, 5, 9])
+    assert tail_estimate(samples, 2) == (1.0, 0.0)  # all above
+    assert tail_estimate(samples, 9) == (0.0, 0.0)  # none above
+    assert tail_estimate(samples, 5) == (0.25, math.sqrt(0.25 * 0.75 / 4))
+    assert tail_estimate(np.array([7]), 6) == (1.0, 0.0)  # a single sample
+    assert tail_estimate(np.array([7]), 7) == (0.0, 0.0)
 
 
 def test_gaussian_limit_against_quadrature():
