@@ -8,7 +8,7 @@ from scipy import stats
 
 from mixlab import ModelParams, lumped
 from mixlab.lumped import (
-    MixingProfile,
+    BirthDeathKernel,
     build_kernel,
     check_distribution,
     d_curve,
@@ -395,6 +395,25 @@ def test_d_curve_rejects_a_rise_beyond_wobble(monkeypatch):
         d_curve(params, 3)
 
 
+def _leaky_kernel(params):
+    """The exact kernel with every stay raised by 1e-9, so mass grows each step."""
+    kernel = build_kernel(params)
+    return BirthDeathKernel(params, kernel.up, kernel.down, kernel.stay + 1e-9)
+
+
+def test_mass_drift_is_an_error_not_rescaled(monkeypatch):
+    """A law that gains mass raises where it leaves the engine: evolve's
+    result, and the laws behind d_curve and mixing_times."""
+    params = ModelParams(40, 8)
+    with pytest.raises(RuntimeError, match="mass drifted from 1 by"):
+        evolve(delta_at(8, 9), _leaky_kernel(params), 200)
+    monkeypatch.setattr(lumped, "build_kernel", _leaky_kernel)
+    with pytest.raises(RuntimeError, match="mass drifted from 1 by"):
+        d_curve(params, 200)
+    with pytest.raises(RuntimeError, match="mass drifted from 1 by"):
+        mixing_times(params, (0.1,))
+
+
 def test_rise_of_the_true_curve_is_an_error(monkeypatch):
     """Against a point mass at k - 1, d(t) falls and then rises: both scans say so."""
     params = ModelParams(40, 8)
@@ -460,19 +479,6 @@ def test_second_moment_lower_bound_dominated_by_tv():
         assert 0.0 <= bound < 1.0
         assert bound <= tv_distance(p, pi) + 1e-12
         p = evolve(p, kernel, 1)
-
-
-def test_mixing_profile_validation():
-    params = ModelParams(10, 2)
-    times = np.array([0, 1, 2])
-    good = np.array([0.9, 0.5, 0.2])
-    MixingProfile(params, times, good, 1)
-    with pytest.raises(ValueError):
-        MixingProfile(params, np.array([0, 2, 1]), good, 1)
-    with pytest.raises(ValueError):
-        MixingProfile(params, times, np.array([0.5, 0.9, 0.2]), 1)
-    with pytest.raises(ValueError):
-        MixingProfile(params, times, np.array([1.5, 0.5, 0.2]), 1)
 
 
 def test_delta_at():

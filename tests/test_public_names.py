@@ -1,12 +1,14 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests, and
+every private module-level name is read.
 
 A public function, class or method that only tests reach is API kept
-for the tests' sake; it belongs in the tests or goes.  The scan reads
-the package, the demos and the benchmark as syntax trees and counts a
-name as referenced when it appears as a name or an attribute outside
-its own definition.  It matches by name, not by module, so it can miss
-an unused name that shares its spelling with a used one, never the
-other way round.
+for the tests' sake; it belongs in the tests or goes.  A private
+constant, function or class that nothing reads is dead code.  The scan
+reads the package, the demos and the benchmark as syntax trees and
+counts a name as referenced when it appears as a name or an attribute
+outside its own definition.  It matches by name, not by module, so it
+can miss an unused name that shares its spelling with a used one, never
+the other way round.
 """
 
 import ast
@@ -42,11 +44,16 @@ def _references(tree: ast.AST) -> Counter:
     return found
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def _references_outside_the_tests() -> Counter:
     used = Counter()
     for folder in CALLERS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             used.update(_references(ast.parse(path.read_text(encoding="utf-8"))))
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    used = _references_outside_the_tests()
     definitions = list(_public_definitions())
     assert len(definitions) > 50  # the scan found the package
     unused = [
@@ -54,6 +61,31 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if used[node.name] <= _references(node)[node.name]
     ]
     assert unused == []
+
+
+def _private_definitions():
+    """(dotted name, name, node) of each private module-level function,
+    class and assigned name; dunders such as ``__all__`` are not private."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield f"{path.stem}.{name}", name, node
+
+
+def test_every_private_name_in_the_package_is_read():
+    used = _references_outside_the_tests()
+    definitions = list(_private_definitions())
+    assert len(definitions) > 20  # the scan found the package
+    unread = [dotted for dotted, name, node in definitions if used[name] <= _references(node)[name]]
+    assert unread == []
 
 
 def _imported_names(tree: ast.AST):
