@@ -251,12 +251,15 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
         brute = exclusion.brute_force_tv_curve(params, exclusion.UNLABELED, config.t_max)
         mean, second = lumped.moment_curves(params, config.t_max)
         stepper = lumped._Stepper(kernel, lumped.delta_at(params.k, params.k + 1))
-        resid = mean_resid = second_resid = 0.0
+        spectrum = lumped._Spectrum(params, pi)
+        resid = mean_resid = second_resid = spectral_resid = 0.0
         for t in range(config.t_max + 1):
             if t:
                 stepper.advance(1)
             p = stepper.law()
-            resid = max(resid, abs(brute[t] - lumped.tv_distance(p, pi)))
+            d = lumped.tv_distance(p, pi)
+            resid = max(resid, abs(brute[t] - d))
+            spectral_resid = max(spectral_resid, abs(spectrum.at(t)[0] - d))
             mean_resid = max(mean_resid, abs(mean[t] - lumped.dist_mean(p)))
             second_resid = max(second_resid, abs(second[t] - lumped.dist_second_moment(p)))
         add("lumping", label, resid)
@@ -269,6 +272,7 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
         balance = np.abs(pi[:-1] * kernel.up[:-1] - pi[1:] * kernel.down[1:])
         add("detailed-balance", label, float(balance.max()))
         add("eigenfunction", label, lumped.eigenfunction_check(kernel))
+        add("spectral", label, max(spectral_resid, spectrum.residual(kernel)))
 
     for n in range(2, config.pair_n_max + 1):
         worst = 0.0

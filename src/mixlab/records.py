@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any
 
 
@@ -45,14 +46,56 @@ def format_cell(value: Any) -> str:
     return str(value)
 
 
+#: printf conversions that give :func:`format_cell`'s text for cells of
+#: exactly these types (bool and None take the per-cell path).
+_CONVERSIONS = {float: "%.17g", int: "%d", str: "%s"}
+
+#: Rows formatted per template call; bounds the row strings held at once.
+_CHUNK_ROWS = 1024
+
+
+def _printf_rows(rows: list[tuple], width: int) -> str | None:
+    """The csv text of ``rows`` from one printf template, or None when a
+    column of ``rows`` mixes cell types or holds a type other than float,
+    int and str, or a str cell needs csv quoting."""
+    if width < 2 or set(map(len, rows)) != {width}:
+        return None
+    specs = []
+    for column in range(width):
+        kinds = set(map(type, map(itemgetter(column), rows)))
+        spec = _CONVERSIONS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spec is None:
+            return None
+        specs.append(spec)
+    text = "".join(map((",".join(specs) + "\n").__mod__, rows))
+    # numbers hold no comma, quote or line break, so any beyond the
+    # template's own come from a str cell that csv would quote
+    if (
+        text.count(",") != (width - 1) * len(rows)
+        or text.count("\n") != len(rows)
+        or '"' in text
+        or "\r" in text
+    ):
+        return None
+    return text
+
+
 def to_csv_text(record: ResultRecord) -> str:
+    """The record as csv text: the bytes of ``csv.writer`` on cells
+    formatted by :func:`format_cell`, written a chunk of rows at a time
+    from one printf template where the cells allow it."""
     buf = io.StringIO()
     for key in sorted(record.meta):
         buf.write(f"# {key}={format_cell(record.meta[key])}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(record.columns)
-    for row in record.rows:
-        writer.writerow([format_cell(v) for v in row])
+    for start in range(0, len(record.rows), _CHUNK_ROWS):
+        chunk = record.rows[start : start + _CHUNK_ROWS]
+        text = _printf_rows(chunk, len(record.columns))
+        if text is None:
+            writer.writerows([format_cell(v) for v in row] for row in chunk)
+        else:
+            buf.write(text)
     return buf.getvalue()
 
 

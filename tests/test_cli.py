@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_oracle_check_localizes_a_corrupted_kernel():
 
     Halving up and down keeps rows stochastic, keeps detailed balance and
     the stationary law, but halves the spectral gap, so only the lumping,
-    moment and eigenfunction identities move.  The pair jump rates halve
+    moment, eigenfunction and spectral identities move.  The pair jump rates halve
     too, yet at ``pair_n_max`` 4 their floor ratio q n^2/k^2 is still 1.5,
     so the skeleton row passes.  Scaling the down rates by 0.1 takes
     that ratio to 0.75, and the skeleton row fails.
@@ -189,7 +190,9 @@ def test_oracle_check_localizes_a_corrupted_kernel():
 
     with pytest.raises(OracleFailure) as exc_info:
         run_oracle_check(config, kernel_factory=scaled(0.5, 0.5))
-    assert exc_info.value.failures == ["eigenfunction", "lumping", "moment-mean", "moment-second"]
+    assert exc_info.value.failures == [
+        "eigenfunction", "lumping", "moment-mean", "moment-second", "spectral",
+    ]
     record = exc_info.value.record
     by_identity = {}
     for identity, _, _, _, status in record.rows:
@@ -207,7 +210,7 @@ def test_oracle_check_localizes_a_corrupted_kernel():
         run_oracle_check(config, kernel_factory=scaled(1.0, 0.1))
     assert exc_info.value.failures == [
         "detailed-balance", "eigenfunction", "lumping", "moment-mean", "moment-second",
-        "skeleton", "stationarity",
+        "skeleton", "spectral", "stationarity",
     ]
     skeleton = {row[1]: row[2] for row in exc_info.value.record.rows if row[0] == "skeleton"}
     assert skeleton["n=2"] == skeleton["n=3"] == 0.0
@@ -241,6 +244,25 @@ def test_sweep_rows_independent_of_threads():
         assert t_enter <= t_mix_val
         assert window == t_mix_val - t_enter
         assert window_over_n == pytest.approx(window / n, abs=1e-15)
+
+
+def test_cli_sweep_reaches_a_million_sites(tmp_path):
+    """The sweep bisects its thresholds, so n = 10^6 runs in seconds; the
+    n = 10^4 row keeps the stepper's times, and the window stays O(n)."""
+    cfg = _write_config(tmp_path, "c.json", {
+        "kind": "sweep", "n_grid": [10**4, 10**5, 10**6],
+        "k_rule": {"kind": "fraction", "value": 0.2}, "eps": [0.1],
+    })
+    start = time.monotonic()
+    result = _run_cli(["sweep", "--config", cfg, "--format", "json"], tmp_path)
+    elapsed = time.monotonic() - start
+    assert result.returncode == 0, result.stderr
+    assert elapsed < 10.0
+    record = json.loads(result.stdout)
+    rows = [dict(zip(record["columns"], row)) for row in record["rows"]]
+    assert [row["n"] for row in rows] == [10**4, 10**5, 10**6]
+    assert (rows[0]["t_enter"], rows[0]["t_mix"]) == (16982, 29920)
+    assert all(1.2 <= row["window_over_n"] <= 1.4 for row in rows)
 
 
 def test_tv_curve_warning_when_eps_unreachable():

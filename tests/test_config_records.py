@@ -1,6 +1,9 @@
 """Config validation, record serialization, and the seeded stream helper."""
 
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -23,6 +26,7 @@ from mixlab.config import (
 from mixlab.experiments import run_oracle_check
 from mixlab.records import (
     ResultRecord,
+    _printf_rows,
     config_hash,
     format_cell,
     render,
@@ -210,7 +214,7 @@ def test_readme_oracle_note_names_every_identity():
     config = parse_config({"kind": "oracle-check", "n_max": 3, "t_max": 2, "pair_n_max": 3,
                            "walk_m_max": 1, "walk_steps_max": 2, "walk_q": [0.5]})
     identities = {row[0] for row in run_oracle_check(config).rows}
-    assert len(identities) == 9
+    assert len(identities) == 10
     missing = {name for name in identities if f"`{name}`" not in note}
     assert not missing, missing
 
@@ -377,6 +381,55 @@ def test_csv_layout():
     assert lines[4] == "0,0.875"
     assert lines[5] == "1,"
     assert text.endswith("\n")
+
+
+def _csv_reference(record):
+    """The record's csv text cell by cell through csv.writer."""
+    buf = io.StringIO()
+    for key in sorted(record.meta):
+        buf.write(f"# {key}={format_cell(record.meta[key])}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(record.columns)
+    for row in record.rows:
+        writer.writerow([format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def test_csv_rows_match_the_cell_by_cell_writer():
+    """Printf rows give csv.writer's bytes; a chunk with a cell of another
+    type, or a str that needs quoting, falls back to csv.writer."""
+    odd = [
+        -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.0 / 3.0, 2**70, -7, True, None,
+        "", "plain", " lead", np.float64(0.1),
+    ]
+    quoted = ["a,b", 'say "x"', "two\nlines", "cr\r"]
+    rows = [(t, t / 7.0, "") for t in range(1024 * (2 + len(quoted)))]
+    for i, value in enumerate(odd):
+        rows[i] = (i, value, "")  # the first chunk mixes cell types
+        rows.append((value, i))
+    for i, value in enumerate(quoted):
+        rows[1024 * (2 + i) + 5] = (i, 0.5, value)  # one str to quote per chunk
+    rows += [("n=2,k=1", 1e-16), ("", "")]
+    record = ResultRecord("x", {"version": "1", "k": None}, ["a", "b", "c"], rows)
+    assert to_csv_text(record) == _csv_reference(record)
+    fallback = [_printf_rows(rows[start : start + 1024], 3) is None
+                for start in range(0, 1024 * (2 + len(quoted)), 1024)]
+    assert fallback == [True, False] + [True] * len(quoted)
+    for width, row in ((1, ("",)), (1, (0.25,)), (2, (1, 2.5)), (0, ())):
+        one = ResultRecord("x", {}, ["c"] * width, [row, row])
+        assert to_csv_text(one) == _csv_reference(one)
+
+
+def test_readme_minimal_session_prints_its_comments():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("A minimal session:")
+    code = readme[readme.index("```python\n", start) + 10 : readme.index("```", readme.index("```python", start) + 9)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == ["1946", "{0.9: 1106, 0.1: 2414}"]
+    printed = [line.split("# ")[1] for line in code.splitlines() if "# " in line]
+    assert printed == out.getvalue().splitlines()
 
 
 def test_json_layout():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from mixlab import ModelParams, lumped
 from mixlab.lumped import (
@@ -435,6 +436,79 @@ def test_t_mix_and_mixing_times_agree():
     # threshold property: d(T) <= eps < d(T - 1)
     for eps, threshold in via_scan.items():
         assert profile.tv[threshold] <= eps < profile.tv[threshold - 1]
+
+
+def _count_stepped_blocks(monkeypatch):
+    """Patch _distances to count the blocks of laws the stepper yields."""
+    blocks = []
+    distances = lumped._distances
+
+    def counted(*args):
+        for tv in distances(*args):
+            blocks.append(tv.size)
+            yield tv
+
+    monkeypatch.setattr(lumped, "_distances", counted)
+    return blocks
+
+
+@pytest.mark.parametrize("n", [500, 2000, 5000])
+def test_spectral_thresholds_match_the_stepped_curve(n, monkeypatch):
+    """Past the first block every threshold is bisected on the expansion, and
+    each equals the first t of the stepped curve with d(t) <= eps."""
+    eps_grid = (0.9, 0.75, 0.5, 0.25, 0.1)
+    for k in (n // 5, n // 20, math.ceil(2 * math.sqrt(n))):
+        params = ModelParams(n, k)
+        blocks = _count_stepped_blocks(monkeypatch)
+        times = mixing_times(params, eps_grid)
+        assert blocks == [64]
+        monkeypatch.undo()
+        profile = d_curve(params, max(times.values()))
+        assert times == {eps: t_mix(profile, eps) for eps in eps_grid}
+        assert min(times.values()) > 64
+
+
+def test_eps_at_a_stepped_distance_is_decided_by_stepping():
+    """An eps equal to the stepper's own d(t) lies within the expansion's
+    error, so stepping decides it, and the answer is that t."""
+    params = ModelParams(2000, 400)
+    profile = d_curve(params, 5000)
+    for t in (2600, 2801, 3002, 3203, 3404, 3605, 3806, 4007):
+        eps = float(profile.tv[t])
+        assert profile.tv[t - 1] > eps
+        assert mixing_times(params, (eps,)) == {eps: t}
+
+
+@pytest.mark.parametrize("n,k,terms", [(2000, 400, None), (2000, 400, 40), (500, 25, 10),
+                                        (5000, 142, None), (5000, 142, 30)])
+def test_spectral_error_bounds_the_stepped_distance(n, k, terms):
+    """e(t) >= |d_spec(t) - d_step(t)| at every sampled t; with the expansion
+    cut short, also at t where the truncation term is still above 1e-13."""
+    params = ModelParams(n, k)
+    spectrum = lumped._Spectrum(params, equilibrium(params))
+    assert spectrum.terms == min(k, 200)
+    if terms is not None:
+        spectrum.terms, spectrum.basis = terms, spectrum.basis[:terms]
+    profile = d_curve(params, 3 * n)
+    informative = truncated = 0
+    for t in range(0, 3 * n + 1, 7):
+        d, err = spectrum.at(t)
+        assert abs(d - profile.tv[t]) <= err
+        tail = spectrum.log_d[spectrum.terms :] + 2 * t * spectrum.log_lam[spectrum.terms :]
+        informative += err < 1e-6
+        truncated += tail.size > 0 and err < 1 and 0.5 * math.exp(0.5 * logsumexp(tail)) > 1e-13
+    assert informative > 50
+    if terms is not None:
+        assert truncated > 20
+
+
+def test_horizon_below_a_spectral_crossing_raises(monkeypatch):
+    params = ModelParams(2000, 400)
+    blocks = _count_stepped_blocks(monkeypatch)
+    assert mixing_times(params, (0.1,), t_limit=5175) == {0.1: 5175}
+    with pytest.raises(RuntimeError, match="within the horizon 5174"):
+        mixing_times(params, (0.1,), t_limit=5174)
+    assert blocks == [64, 64]
 
 
 def test_t_mix_edge_cases():
