@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .exclusion import ModelParams
 
@@ -144,21 +143,17 @@ def build_kernel(params: ModelParams) -> BirthDeathKernel:
     return BirthDeathKernel(params, up, down, stay)
 
 
-def _log_comb(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray:
-    return gammaln(np.asarray(a) + 1) - gammaln(np.asarray(b) + 1) - gammaln(np.asarray(a) - np.asarray(b) + 1)
-
-
 def equilibrium(params: ModelParams) -> np.ndarray:
-    """Stationary law of W: hypergeometric(n, k, k), computed in log space.
-
-    Log-space binomials keep the computation finite for n up to millions;
-    the final vector is renormalized so it sums to one exactly up to float
-    addition.
+    """Stationary law of W: hypergeometric(n, k, k), from the recurrence
+    pi(m + 1) / pi(m) = (k - m)^2 / ((m + 1) (n - 2k + m + 1)).  Each ratio is
+    a quotient of integers exact in double precision; the cumulative sum of
+    their logs, shifted by its maximum, is exponentiated and normalised.
     """
     n, k = params.n, params.k
-    m = np.arange(k + 1, dtype=float)
-    logp = _log_comb(float(k), m) + _log_comb(float(n - k), float(k) - m) - _log_comb(float(n), float(k))
-    p = np.exp(logp)
+    m = np.arange(k, dtype=float)
+    ratio = (k - m) ** 2 / ((m + 1) * (n - 2.0 * k + m + 1))
+    logp = np.concatenate(([0.0], np.cumsum(np.log(ratio))))
+    p = np.exp(logp - logp.max())
     p /= p.sum()
     p.setflags(write=False)
     return p
@@ -499,10 +494,16 @@ def t_mix(profile: MixingProfile, eps: float) -> int | None:
 
 
 def default_horizon(params: ModelParams, eps_min: float) -> int:
-    """Generous upper bound on any threshold time this package evaluates."""
-    n, k = params.n, params.k
-    spread = max(1.0, math.log(1.0 / eps_min))
-    return int(0.25 * n * math.log(n) + 0.5 * n * math.log(max(k, 2)) + 8.0 * n * spread) + 200
+    """T = ceil(n/2 (log n - 2 log eps + log1p(eps^2))), where d(T) <= eps/2:
+    no threshold this package evaluates lies beyond it.
+
+    Proof: d(t) <= 1/2 sqrt(chi2(t)), chi2(t) = sum_i d_i lambda_i^{2t} (see
+    :class:`_Spectrum`).  As d_i <= n^i / i! and 0 <= lambda_i <= e^{-i/n} for
+    i <= k <= n/2, chi2(t) <= exp(n e^{-2t/n}) - 1, which is at most eps^2 at T
+    since log1p(x) >= x / (1 + x).  The other half of eps covers float error.
+    """
+    n = params.n
+    return math.ceil(0.5 * n * (math.log(n) - 2.0 * math.log(eps_min) + math.log1p(eps_min**2)))
 
 
 class _Spectrum:
@@ -536,7 +537,8 @@ class _Spectrum:
         i = np.arange(1, k + 1, dtype=float)
         with np.errstate(divide="ignore"):  # lambda_1 = 0 when n = 2
             self.log_lam = np.log(1.0 - 2.0 * i * (n - i + 1) / (float(n) * n))
-        self.log_d = _log_comb(float(n), i) + np.log((n - 2.0 * i + 1) / (n - i + 1))
+        # log C(n, i) as the cumulative sum of log C(n, i) / C(n, i - 1)
+        self.log_d = np.cumsum(np.log((n - i + 1) / i)) + np.log((n - 2.0 * i + 1) / (n - i + 1))
         inside = pi >= _SPECTRAL_FLOOR
         self.states = np.flatnonzero(inside)
         self.weight = np.sqrt(pi[inside])
@@ -582,24 +584,28 @@ class _Spectrum:
             worst = max(worst, gap, float(np.abs(_apply(kernel, p) - lam[i] * p).max()))
         return worst
 
-    def at(self, t: int) -> tuple[float, float]:
-        """The expansion's d(t) and its certified error e(t); (1, inf) when
-        e(t) >= 1, where the expansion says nothing."""
+    def at(self, t):
+        """The expansion's d(t) and its certified error e(t), elementwise for
+        an int or an integer array t; (1, inf) where e(t) >= 1, where the
+        expansion says nothing."""
+        t = np.asarray(t)
         # at t = 0 skip the powers: 0 * log(lambda_1) is nan when n = 2
-        log_w = self.log_d + 2.0 * t * self.log_lam if t else self.log_d
-        head = 0.5 * log_w[: self.terms]
-        log_tail = _log_sum_exp(log_w[self.terms :])
-        log_chi2 = np.logaddexp(_log_sum_exp(log_w[: self.terms]), log_tail)
+        with np.errstate(invalid="ignore"):
+            powers = 2.0 * t[..., None] * self.log_lam
+        log_w = self.log_d + np.where(t[..., None] > 0, powers, 0.0)
+        head = 0.5 * log_w[..., : self.terms]
+        log_tail = _log_sum_exp(log_w[..., self.terms :])
+        log_chi2 = np.logaddexp(_log_sum_exp(log_w[..., : self.terms]), log_tail)
         float_part = _SPECTRAL_SLACK + _STEP_ROUNDING * t
         log_err = np.logaddexp.reduce([
             math.log(0.5) + 0.5 * log_tail,
             math.log(0.5) + 0.5 * (self.log_outside + log_chi2),
             math.log(_TERM_ROUNDING) + _log_sum_exp(head),
         ])
-        if log_err >= 0.0 or float_part >= 1.0:
-            return 1.0, math.inf
-        coef = np.exp(head)
-        return 0.5 * float(np.abs(coef @ self.basis) @ self.weight), float_part + math.exp(log_err)
+        says = (log_err < 0.0) & (float_part < 1.0)
+        coef = np.exp(np.where(says[..., None], head, -math.inf))
+        d = np.where(says, 0.5 * np.abs(coef @ self.basis) @ self.weight, 1.0)
+        return d, float_part + np.exp(np.where(says, log_err, math.inf))
 
     def crossing(self, eps: float, lo: int, hi: int) -> int | None:
         """The first t in [lo, hi] with d(t) <= eps, or hi + 1 when d(hi) > eps,
@@ -627,19 +633,12 @@ class _Spectrum:
         return None
 
 
-def _log_sum_exp(x: np.ndarray) -> float:
-    """log(sum(exp(x))) without overflow; -inf when x is empty or all -inf."""
-    top = float(x.max()) if x.size else -math.inf
-    if top == -math.inf:
-        return top
-    return top + math.log(float(np.exp(x - top).sum()))
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis; -inf for an empty or all -inf row."""
+    return np.logaddexp.reduce(x, axis=-1, initial=-math.inf)
 
 
-def mixing_times(
-    params: ModelParams,
-    eps_values: tuple[float, ...] | list[float],
-    t_limit: int | None = None,
-) -> dict[float, int]:
+def mixing_times(params: ModelParams, eps_values: tuple[float, ...] | list[float]) -> dict[float, int]:
     """Exact threshold times inf{t : d(t) <= eps} for each requested eps.
 
     The chain is stepped exactly through its first block of laws (64 of
@@ -650,14 +649,14 @@ def mixing_times(
     exact stepping resumes and decides that eps, and the smaller ones are
     bisected from there.  Every time is thus the stepper's own.  Raises
     if a stepped d(t) rises beyond float wobble or a threshold is not
-    reached by the (generous) horizon.
+    reached by the proven horizon (:func:`default_horizon`).
     """
     eps_list = sorted(set(float(e) for e in eps_values), reverse=True)
     if not eps_list:
         raise ValueError("need at least one eps")
     if not all(0 < e < 1 for e in eps_list):
         raise ValueError("every eps must lie in (0, 1)")
-    horizon = t_limit if t_limit is not None else default_horizon(params, eps_list[-1])
+    horizon = default_horizon(params, eps_list[-1])
     kernel = build_kernel(params)
     pi = equilibrium(params)
     stepper = _Stepper(kernel, delta_at(params.k, params.k + 1))
@@ -665,7 +664,7 @@ def mixing_times(
     spectrum = None
     stepped = None  # the eps that exact stepping decides, once bisection could not
     t = 0
-    for tv in _no_rise(_distances(stepper, pi, 1, max(horizon, 0) + 1)):
+    for tv in _no_rise(_distances(stepper, pi, 1, horizon + 1)):
         while eps_list:
             hits = np.flatnonzero(tv <= eps_list[0])
             if hits.size == 0:

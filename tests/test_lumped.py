@@ -66,11 +66,28 @@ def test_equilibrium_frozen_example():
 
 @pytest.mark.parametrize("n,k", [(4, 2), (30, 6), (1000, 31), (1000, 500)])
 def test_equilibrium_matches_hypergeometric(n, k):
-    """Log-gamma route against scipy's hypergeometric pmf."""
+    """The ratio recurrence against scipy's hypergeometric pmf."""
     pi = equilibrium(ModelParams(n, k))
     ref = stats.hypergeom(n, k, k).pmf(np.arange(k + 1))
     np.testing.assert_allclose(pi, ref, rtol=1e-11, atol=1e-300)
     np.testing.assert_allclose(pi.sum(), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(1000, 200), (20000, 283), (100_000, 633)])
+def test_equilibrium_matches_the_exact_integer_law(n, k):
+    """Against C(k, m) C(n - k, k - m) / C(n, k) in integers, each entry
+    correctly rounded, pi is within TV 1e-13."""
+    total = math.comb(n, k)
+    exact = np.array([math.comb(k, m) * math.comb(n - k, k - m) / total for m in range(k + 1)])
+    assert tv_distance(equilibrium(ModelParams(n, k)), exact) <= 1e-13
+
+
+def test_multiplicities_match_exact_integers():
+    """log d_i = log(C(n, i) - C(n, i - 1)) within 1e-12 for i <= 200 at n = 10^6."""
+    n = 10**6
+    spectrum = lumped._Spectrum(ModelParams(n, 2000), equilibrium(ModelParams(n, 2000)))
+    exact = [math.log(math.comb(n, i) - math.comb(n, i - 1)) for i in range(1, 201)]
+    np.testing.assert_allclose(spectrum.log_d[:200], exact, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (10, 5), (200, 40), (1000, 500)])
@@ -367,7 +384,12 @@ def test_evolve_clears_a_tail_flushed_in_one_step(edge):
         assert (law[ref < TINY] == 0.0).all()
 
 
-def test_mixing_times_crossing_on_block_boundaries():
+def _fix_horizon(monkeypatch, t):
+    """Make mixing_times stop at t in place of its proven horizon."""
+    monkeypatch.setattr(lumped, "default_horizon", lambda params, eps_min: t)
+
+
+def test_mixing_times_crossing_on_block_boundaries(monkeypatch):
     """Crossings at the last and first laws of a block of 64, and a horizon equal
     to the crossing time, give the dense scan's answers."""
     params = ModelParams(60, 12)
@@ -377,9 +399,11 @@ def test_mixing_times_crossing_on_block_boundaries():
     times = mixing_times(params, tuple(eps_at.values()))
     assert times == {eps: t for t, eps in eps_at.items()}
     for t, eps in eps_at.items():
-        assert mixing_times(params, (eps,), t_limit=t) == {eps: t}
+        _fix_horizon(monkeypatch, t)
+        assert mixing_times(params, (eps,)) == {eps: t}
+        _fix_horizon(monkeypatch, t - 1)
         with pytest.raises(RuntimeError):
-            mixing_times(params, (eps,), t_limit=t - 1)
+            mixing_times(params, (eps,))
 
 
 def test_d_curve_rejects_a_rise_beyond_wobble(monkeypatch):
@@ -483,16 +507,20 @@ def test_eps_at_a_stepped_distance_is_decided_by_stepping():
                                         (5000, 142, None), (5000, 142, 30)])
 def test_spectral_error_bounds_the_stepped_distance(n, k, terms):
     """e(t) >= |d_spec(t) - d_step(t)| at every sampled t; with the expansion
-    cut short, also at t where the truncation term is still above 1e-13."""
+    cut short, also at t where the truncation term is still above 1e-13.
+    A call over an array of times agrees with one call per t within e(t)."""
     params = ModelParams(n, k)
     spectrum = lumped._Spectrum(params, equilibrium(params))
     assert spectrum.terms == min(k, 200)
     if terms is not None:
         spectrum.terms, spectrum.basis = terms, spectrum.basis[:terms]
     profile = d_curve(params, 3 * n)
+    times = np.arange(0, 3 * n + 1, 7)
+    d_all, err_all = spectrum.at(times)
     informative = truncated = 0
-    for t in range(0, 3 * n + 1, 7):
-        d, err = spectrum.at(t)
+    for t, d, err in zip(times, d_all, err_all):
+        d_one, err_one = spectrum.at(t)
+        assert abs(d - d_one) <= err and err == pytest.approx(err_one, rel=1e-12)
         assert abs(d - profile.tv[t]) <= err
         tail = spectrum.log_d[spectrum.terms :] + 2 * t * spectrum.log_lam[spectrum.terms :]
         informative += err < 1e-6
@@ -502,12 +530,39 @@ def test_spectral_error_bounds_the_stepped_distance(n, k, terms):
         assert truncated > 20
 
 
+def test_small_k_at_a_million_sites_is_bisected():
+    """At (10^6, 2000) the expansion keeps its terms and decides both eps."""
+    params = ModelParams(10**6, 2000)
+    assert lumped._Spectrum(params, equilibrium(params)).terms >= 100
+    assert mixing_times(params, (0.75, 0.25)) == {0.75: 2917378, 0.25: 3644942}
+
+
+@pytest.mark.parametrize("n,k", [(200, 40), (1000, 10)] + [
+    (n, k) for n in (500, 2000, 5000) for k in (n // 5, n // 20, math.ceil(2 * math.sqrt(n)))
+])
+def test_horizon_is_proven(n, k, monkeypatch):
+    """At T = default_horizon(eps), 1/2 sqrt(chi2(T)) <= eps/2 from the full
+    sum of d_i lambda_i^{2T}, and no threshold lies beyond T even when
+    mixing_times may look four times further."""
+    params = ModelParams(n, k)
+    spectrum = lumped._Spectrum(params, equilibrium(params))
+    eps_grid = (0.9, 0.75, 0.5, 0.25, 0.1, 1e-6)
+    horizon = {eps: lumped.default_horizon(params, eps) for eps in eps_grid}
+    for eps, t in horizon.items():
+        assert 0.5 * math.exp(0.5 * logsumexp(spectrum.log_d + 2 * t * spectrum.log_lam)) <= eps / 2
+    _fix_horizon(monkeypatch, 4 * horizon[0.1])
+    for eps, t in mixing_times(params, eps_grid[:-1]).items():
+        assert t <= horizon[eps]
+
+
 def test_horizon_below_a_spectral_crossing_raises(monkeypatch):
     params = ModelParams(2000, 400)
     blocks = _count_stepped_blocks(monkeypatch)
-    assert mixing_times(params, (0.1,), t_limit=5175) == {0.1: 5175}
+    _fix_horizon(monkeypatch, 5175)
+    assert mixing_times(params, (0.1,)) == {0.1: 5175}
+    _fix_horizon(monkeypatch, 5174)
     with pytest.raises(RuntimeError, match="within the horizon 5174"):
-        mixing_times(params, (0.1,), t_limit=5174)
+        mixing_times(params, (0.1,))
     assert blocks == [64, 64]
 
 
@@ -524,9 +579,10 @@ def test_mixing_times_frozen_point():
     assert mixing_times(ModelParams(1000, 10), (0.25,))[0.25] == 1727
 
 
-def test_mixing_times_validation():
+def test_mixing_times_validation(monkeypatch):
+    _fix_horizon(monkeypatch, 5)
     with pytest.raises(RuntimeError):
-        mixing_times(ModelParams(200, 40), (0.01,), t_limit=5)
+        mixing_times(ModelParams(200, 40), (0.01,))
     with pytest.raises(ValueError):
         mixing_times(ModelParams(200, 40), ())
     with pytest.raises(ValueError):
