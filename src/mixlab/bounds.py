@@ -6,7 +6,8 @@ the set of *selected* block sites grows exactly like a coupon collection:
 while ``j`` of the k block sites are still unselected, each single site
 draw hits a fresh one with probability j/n.  Two site draws happen per
 chain step, so the chain needs ceil(tau'/2) steps to select what tau'
-single draws select.
+single draws select.  Stopping K short of all k, tau' is the (k - K)-th
+smallest of the block sites' first-hit times, counted in draws.
 
 Until all but K block sites are selected, at least K + 1 particles (or,
 unlabeled, at least one) still sit exactly where they started, an event
@@ -58,13 +59,6 @@ def collector_moments(spec: CollectorSpec) -> tuple[float, float]:
     return mean, variance
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Mask of the entries of sorted ``keys`` that differ from their predecessor."""
-    starts = np.ones(keys.size, dtype=bool)
-    starts[1:] = keys[1:] != keys[:-1]
-    return starts
-
-
 def single_draw_collection_samples(
     spec: CollectorSpec,
     replicas: int,
@@ -73,60 +67,41 @@ def single_draw_collection_samples(
 ) -> np.ndarray:
     """Sample tau' by running the raw draw process itself.
 
-    Draws uniform sites in blocks of ``block`` per replica.  The block's
-    block-site hits are deduplicated per replica by sorting their
-    ``row * k + site`` keys and keeping each key where it differs from
-    its predecessor; the keys not already seen count as the replica's
-    gain.  Only the replicas whose target count is crossed inside the
-    block are searched for the exact crossing draw, all at once: a
-    stable sort of the same keys marks each hit that is the first
-    occurrence of its site in the row, hits on sites seen before the
-    block are masked out, and the first column where the running sum of
-    the rest plus the replica's count reaches the target is the
-    crossing draw.  The cost per draw stays vectorized and the recorded
-    draw is exact.
+    Draws uniform sites in blocks of ``block`` per replica and keeps, per
+    replica and block site, the index of the draw that first hit it
+    (int32 max while unhit).  Each hit that holds its site's first-hit
+    index selects the site; once k - residual sites are selected, tau' is
+    one more than the (k - residual)-th smallest first-hit index.  The
+    indices are int32, so tau' must stay below 2^31 draws: a run whose
+    next block would pass 2^31 - 1 draws raises ``RuntimeError`` first.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
+    if replicas < 1 or block < 1:
+        raise ValueError(f"replicas and block must be positive, got {replicas} and {block}")
     n, k = spec.n, spec.k
     need = k - spec.residual
+    unhit = np.iinfo(np.int32).max
     tau = np.zeros(replicas, dtype=np.int64)
     gid = np.arange(replicas)
-    seen = np.zeros((replicas, k), dtype=bool)
+    first = np.full((replicas, k), unhit, dtype=np.int32)
     count = np.zeros(replicas, dtype=np.int64)
     drawn = 0
     while gid.size:
-        active = gid.size
-        draws = rng.integers(0, n, size=(active, block))
+        if drawn + block > unhit:
+            raise RuntimeError(f"draw index {drawn + block} would pass the int32 range")
+        draws = rng.integers(0, n, size=(gid.size, block))
         hits = np.flatnonzero(draws < k)
-        # one entry per distinct (replica, site) pair in this block
-        uniq = hits // block * k + draws.ravel()[hits]
-        uniq.sort()
-        uniq = uniq[_run_starts(uniq)]
-        urow, usite = np.divmod(uniq, k)
-        fresh = ~seen[gid[urow], usite]
-        gain = np.bincount(urow[fresh], minlength=active)
-        crossed = count + gain >= need
-        if crossed.any():
-            rows = np.nonzero(crossed)[0]
-            row_draws = draws[rows]
-            r, c = np.nonzero(row_draws < k)
-            key = r * k + row_draws[r, c]
-            order = np.argsort(key, kind="stable")
-            first = order[_run_starts(key[order])]
-            r, c = r[first], c[first]
-            new = ~seen[gid[rows[r]], row_draws[r, c]]
-            counted = np.zeros(row_draws.shape, dtype=np.int64)
-            counted[r[new], c[new]] = 1
-            total = np.cumsum(counted, axis=1) + count[rows, None]
-            tau[gid[rows]] = drawn + np.argmax(total >= need, axis=1) + 1
-        alive = ~crossed
-        rows_alive = alive[urow] & fresh
-        seen[gid[urow[rows_alive]], usite[rows_alive]] = True
-        count += gain
+        row, col = np.divmod(hits, block)
+        key = row * k + draws.ravel()[hits]
+        index = (drawn + col).astype(np.int32)
+        flat = first.reshape(-1)  # a view: ``first`` is contiguous
+        np.minimum.at(flat, key, index)
+        count += np.bincount(row[flat[key] == index], minlength=gid.size)
+        del draws, hits, row, col, key, index  # freed before the next block is drawn
+        done = count >= need
+        if done.any():
+            tau[gid[done]] = 1 + np.partition(first[done], need - 1, axis=1)[:, need - 1]
+            gid, first, count = gid[~done], first[~done], count[~done]
         drawn += block
-        gid = gid[alive]
-        count = count[alive]
     return tau
 
 

@@ -160,7 +160,7 @@ SCHEMA: dict[str, dict[str, tuple[Check, Any]]] = {
         "steps_values": (_int_list(0), REQUIRED), "replicas": _REPLICAS,
     },
     "oracle-check": {
-        "n_max": (_int(2, 8), 6), "t_max": (_int(0), 30), "walk_m_max": (_int(1), 5),
+        "n_max": (_int(2, 8), 6), "t_max": (_int(0), 30), "walk_m_max": (_int(1, 200), 5),
         "walk_steps_max": (_int(0, 200), 30), "pair_n_max": (_int(2, 50), 12),
         "tol": (_number(0.0), 1e-10), "walk_q": (_walk_q, (0.1, 0.5, 1.0)),
     },

@@ -121,6 +121,11 @@ def _sequential_collection_samples(spec, replicas, rng, block):
         (CollectorSpec(12, 6, 2), 2000, 3),
         (CollectorSpec(200, 40), 300, 256),
         (CollectorSpec(200, 40, 5), 300, 256),
+        (CollectorSpec(12, 6), 500, 1),
+        (CollectorSpec(5, 1), 500, 7),
+        (CollectorSpec(30, 6, 5), 500, 2),  # one site needed
+        (CollectorSpec(40, 4), 300, 2048),  # every replica ends in the first block
+        (CollectorSpec(50, 10, 3), 1000, 7),  # about a hundred replicas end per block
     ],
 )
 def test_sampler_matches_sequential_scan(spec, replicas, block):
@@ -139,6 +144,13 @@ def test_sampler_determinism_and_single_draw():
     assert value >= 3
     with pytest.raises(ValueError):
         single_draw_collection_samples(spec, 0, replica_stream(41, 8))
+    with pytest.raises(ValueError):
+        single_draw_collection_samples(spec, 1, replica_stream(41, 8), block=0)
+    # the guard fires before the first draw, so no 2**31-wide block is allocated
+    with pytest.raises(RuntimeError):
+        single_draw_collection_samples(
+            CollectorSpec(10**12, 1), 1, replica_stream(41, 8), block=2**31
+        )
     with pytest.raises(ValueError):
         geometric_sum_samples(spec, 0, replica_stream(41, 9))
 

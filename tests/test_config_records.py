@@ -307,6 +307,10 @@ def test_parse_oracle_check_ranges():
         assert exc_info.value.problems == ["'tol' must be finite, got inf"]
     with pytest.raises(ConfigError):
         parse_config({"kind": "oracle-check", "walk_q": [0.5, 2.0]})
+    # the cap: a walk from m above walk_steps_max (at most 200) cannot reach 0
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(dict(MINIMAL["oracle-check"], walk_m_max=201))
+    assert exc_info.value.problems == ["'walk_m_max' must be <= 200, got 201"]
 
 
 def test_k_from_rule():
