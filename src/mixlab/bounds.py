@@ -6,8 +6,9 @@ the set of *selected* block sites grows exactly like a coupon collection:
 while ``j`` of the k block sites are still unselected, each single site
 draw hits a fresh one with probability j/n.  Two site draws happen per
 chain step, so the chain needs ceil(tau'/2) steps to select what tau'
-single draws select.  Stopping K short of all k, tau' is the (k - K)-th
-smallest of the block sites' first-hit times, counted in draws.
+single draws select.  Stopping K short of all k, tau' is therefore the
+sum of independent geometric waits with success probabilities j/n for
+j = K+1, ..., k.
 
 Until all but K block sites are selected, at least K + 1 particles (or,
 unlabeled, at least one) still sit exactly where they started, an event
@@ -63,45 +64,22 @@ def single_draw_collection_samples(
     spec: CollectorSpec,
     replicas: int,
     rng: np.random.Generator,
-    block: int = 256,
+    block: int = 16,
 ) -> np.ndarray:
-    """Sample tau' by running the raw draw process itself.
+    """Sample tau' as its sum of independent geometric waits (int64).
 
-    Draws uniform sites in blocks of ``block`` per replica and keeps, per
-    replica and block site, the index of the draw that first hit it
-    (int32 max while unhit).  Each hit that holds its site's first-hit
-    index selects the site; once k - residual sites are selected, tau' is
-    one more than the (k - residual)-th smallest first-hit index.  The
-    indices are int32, so tau' must stay below 2^31 draws: a run whose
-    next block would pass 2^31 - 1 draws raises ``RuntimeError`` first.
+    The wait for the next fresh block site while j are unselected is
+    Geom(j/n), for j = residual+1, ..., k.  Each ``rng.geometric`` call
+    draws ``block`` of those stages for every replica, so the temporary
+    holds at most replicas x block waits.
     """
     if replicas < 1 or block < 1:
         raise ValueError(f"replicas and block must be positive, got {replicas} and {block}")
-    n, k = spec.n, spec.k
-    need = k - spec.residual
-    unhit = np.iinfo(np.int32).max
+    p = np.arange(spec.residual + 1, spec.k + 1) / spec.n
     tau = np.zeros(replicas, dtype=np.int64)
-    gid = np.arange(replicas)
-    first = np.full((replicas, k), unhit, dtype=np.int32)
-    count = np.zeros(replicas, dtype=np.int64)
-    drawn = 0
-    while gid.size:
-        if drawn + block > unhit:
-            raise RuntimeError(f"draw index {drawn + block} would pass the int32 range")
-        draws = rng.integers(0, n, size=(gid.size, block))
-        hits = np.flatnonzero(draws < k)
-        row, col = np.divmod(hits, block)
-        key = row * k + draws.ravel()[hits]
-        index = (drawn + col).astype(np.int32)
-        flat = first.reshape(-1)  # a view: ``first`` is contiguous
-        np.minimum.at(flat, key, index)
-        count += np.bincount(row[flat[key] == index], minlength=gid.size)
-        del draws, hits, row, col, key, index  # freed before the next block is drawn
-        done = count >= need
-        if done.any():
-            tau[gid[done]] = 1 + np.partition(first[done], need - 1, axis=1)[:, need - 1]
-            gid, first, count = gid[~done], first[~done], count[~done]
-        drawn += block
+    for start in range(0, p.size, block):
+        stages = p[start : start + block]
+        tau += rng.geometric(stages, size=(replicas, stages.size)).sum(axis=1)
     return tau
 
 

@@ -2,8 +2,8 @@
 
 Each one derives a quantity the package samples by a route that shares
 no sampling code with it: an exact linear solve for the mean merge
-time, the sum of independent geometrics for the collection time, and
-the dominating walk run next to the coupled pair from the same uniforms.
+time, the pure-death chain for the law of the collection time, and the
+dominating walk run next to the coupled pair from the same uniforms.
 """
 
 from __future__ import annotations
@@ -166,19 +166,21 @@ def dominated_pair_samples(
     return DominatedPairSamples(t_cap, tau, merged, tau_walk, walk_hit, *tally)
 
 
-def geometric_sum_samples(
-    spec: CollectorSpec,
-    replicas: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """tau' in law, resampled as the sum of its independent geometrics.
+def collection_time_cdf(spec: CollectorSpec, draws: int) -> np.ndarray:
+    """P[tau' <= d] for d = 0, ..., draws, exactly.
 
-    Shares no code with :func:`mixlab.bounds.single_draw_collection_samples`;
-    used to test that the raw draw process has the right distribution.
+    Evolves the pure-death chain on the number j of unselected block
+    sites, which starts at k and loses one with probability j/n per
+    single site draw; tau' is the draw at which it reaches
+    ``spec.residual``, so the CDF is the mass absorbed there.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be positive")
-    total = np.zeros(replicas, dtype=np.int64)
-    for j in range(spec.residual + 1, spec.k + 1):
-        total += rng.geometric(j / spec.n, size=replicas)
-    return total
+    j = np.arange(spec.residual, spec.k + 1)
+    law = np.zeros(j.size)
+    law[-1] = 1.0
+    cdf = np.zeros(draws + 1)
+    for d in range(1, draws + 1):
+        fresh = law[1:] * j[1:] / spec.n
+        law[1:] -= fresh
+        law[:-1] += fresh
+        cdf[d] = law[0]
+    return cdf

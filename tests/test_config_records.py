@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mixlab
 from mixlab import replica_stream
 from mixlab.config import (
     COMMON,
@@ -454,3 +455,12 @@ def test_render_and_write(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == to_csv_text(record)
     write_record(record, None, "json")
     assert capsys.readouterr().out == to_json_text(record)
+
+
+def test_package_version_matches_pyproject():
+    """Records carry ``mixlab.__version__``; pyproject.toml states it again,
+    and both are bumped by hand."""
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert mixlab.__version__ == tomllib.load(handle)["project"]["version"]
