@@ -25,8 +25,10 @@ shared uniform per jump and both holding times through another
 yields the longer holding time) produces, pathwise, a reflecting-free
 walk whose zero-hitting time tau' is never smaller than tau.
 
-The merge sampler runs the pair as one jump-chain process on the engine
-of :mod:`mixlab.walk`.
+The merge sampler runs the pair through its jump chain, one move and
+one clock uniform per jump (:func:`_jump_chain`); the walk's hitting
+sampler in :mod:`mixlab.walk` draws its holds as negative-binomial sums
+instead.
 """
 
 from __future__ import annotations
@@ -38,11 +40,67 @@ import numpy as np
 
 from .exclusion import ModelParams
 from .lumped import BirthDeathKernel, build_kernel
-from .walk import _check_batch, _geometric_from_uniform, _jump_chain, tail_estimate
+from .walk import _check_batch, tail_estimate
 
 #: (W1, W2) steps of the four off-diagonal moves, in the order the
 #: skeleton thresholds split them: W1 up, W2 down, W1 down, W2 up.
 _PAIR_MOVES = np.array([[1, 0, -1, 0], [0, -1, 0, 1]], dtype=np.int64)
+
+#: Cap on the float hold of :func:`_geometric_from_uniform` before its
+#: int64 cast.
+_HOLD_SATURATION = 2.0**62
+
+
+def _geometric_from_uniform(u: np.ndarray, log1m_q: np.ndarray | float) -> np.ndarray:
+    """Inverse-CDF geometric on {1, 2, ...}: floor(log(1-u)/log(1-q)) + 1.
+
+    Monotone in the success probability for a fixed uniform: a smaller q
+    (flatter log) gives a pathwise larger value, which is what makes the
+    shared-uniform clock comparison work.  q = 1 (log1m_q = -inf) gives 1.
+    A tiny q can give values past int64: they saturate at 2**62 + 1,
+    which ends any replica with t_cap below 2**62 as late and keeps
+    clock plus hold inside int64; smaller values keep their bits.
+    """
+    return np.minimum(np.floor(np.log1p(-u) / log1m_q), _HOLD_SATURATION).astype(np.int64) + 1
+
+
+def _jump_chain(process: tuple, t_cap: int, rng: np.random.Generator) -> tuple:
+    """Run a batch of replicas of one process through its jump chain.
+
+    The process is a triple (state, jump, absorbed): ``state`` is an int
+    array of shape (dims, replicas) holding the start; ``jump(state,
+    u_move, u_clock)`` returns the state after one jump and the holding
+    time spent before it; ``absorbed(state)`` marks absorbing states, and
+    a replica that starts in one is absorbed at time 0.  Every round
+    draws one move and one clock uniform per running replica.  Returns
+    (times, hit); times carry t_cap + 1 where the cap came first.
+    ``state`` is overwritten with the state at absorption, or at t_cap: a
+    jump that lands after t_cap is discarded.
+    """
+    state, jump, absorbed = process
+    hit = absorbed(state)
+    times = np.where(hit, 0, t_cap + 1)
+    # working columns of the running replicas, whose indices are in gid
+    gid = np.flatnonzero(~hit)
+    cur = state[:, gid]
+    clock = np.zeros(gid.size, dtype=np.int64)
+    while gid.size:
+        # move, then clock uniforms: like the holds, freed before the next draws
+        nxt, hold = jump(cur, rng.random(gid.size), rng.random(gid.size))
+        clock += hold
+        del hold
+        late = clock > t_cap
+        done = absorbed(nxt) & ~late
+        still = ~(late | done)
+        if not still.all():
+            late, done = np.flatnonzero(late), np.flatnonzero(done)
+            times[gid[done]] = clock[done]
+            hit[gid[done]] = True
+            state[:, gid[late]] = cur[:, late]
+            state[:, gid[done]] = nxt[:, done]
+            gid, nxt, clock = gid[still], nxt[:, still], clock[still]
+        cur = nxt
+    return times, hit
 
 
 @dataclass(frozen=True)

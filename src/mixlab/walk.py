@@ -14,8 +14,10 @@ positive half-line provides the cross-check, and a Gaussian evaluator
 covers the diffusive limit where m ~ alpha * s and steps ~ beta * s^2 / q.
 
 Simulation goes through the jump chain: a fair +1/-1 move per jump and
-a geometric holding time before it, both drawn from uniforms.  The same
-jump-chain engine also runs the coupled pair of :mod:`mixlab.coupling`.
+a geometric holding time before it.  The hitting sampler draws the signs
+in blocks from random bits and each block's holds as one
+negative-binomial sum; the coupled pair of :mod:`mixlab.coupling` runs
+on its own per-jump engine.
 """
 
 from __future__ import annotations
@@ -28,6 +30,21 @@ from scipy.special import betainc
 
 #: Brute-force dynamic program is quadratic in steps; keep it honest.
 _BRUTEFORCE_STEP_CAP = 10_000
+
+#: Jumps drawn per running replica and round of the hitting sampler:
+#: eight random bytes of fair signs.
+_BLOCK = 64
+
+#: Partial sums of the eight signs in each byte value, read as
+#: np.unpackbits reads it (most significant bit first, 1 is +1 and 0 is
+#: -1), and the net step and the lowest partial sum of each byte.
+_BYTE_PATHS = np.cumsum(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1).astype(np.int8) * 2 - 1,
+    axis=1,
+    dtype=np.int8,
+)
+_BYTE_END = _BYTE_PATHS[:, -1]
+_BYTE_LOW = _BYTE_PATHS.min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -98,75 +115,12 @@ def survival_bruteforce(m: int, steps: int, q: float) -> np.ndarray:
     return curve
 
 
-def _geometric_from_uniform(u: np.ndarray, log1m_q: np.ndarray | float) -> np.ndarray:
-    """Inverse-CDF geometric on {1, 2, ...}: floor(log(1-u)/log(1-q)) + 1.
-
-    Monotone in the success probability for a fixed uniform: a smaller q
-    (flatter log) gives a pathwise larger value, which is what makes the
-    shared-uniform clock comparison work.  q = 1 (log1m_q = -inf) gives 1.
-    """
-    return np.floor(np.log1p(-u) / log1m_q).astype(np.int64) + 1
-
-
 def _check_batch(t_cap: int, replicas: int) -> None:
     """Reject a negative time cap or an empty replica batch."""
     if t_cap < 0:
         raise ValueError("t_cap must be nonnegative")
     if replicas < 1:
         raise ValueError("replicas must be positive")
-
-
-def _jump_chain(process: tuple, t_cap: int, rng: np.random.Generator) -> tuple:
-    """Run a batch of replicas of one process through its jump chain.
-
-    The process is a triple (state, jump, absorbed): ``state`` is an int
-    array of shape (dims, replicas) holding the start; ``jump(state,
-    u_move, u_clock)`` returns the state after one jump and the holding
-    time spent before it; ``absorbed(state)`` marks absorbing states, and
-    a replica that starts in one is absorbed at time 0.  Every round
-    draws one move and one clock uniform per running replica.  Returns
-    (times, hit); times carry t_cap + 1 where the cap came first.
-    ``state`` is overwritten with the state at absorption, or at t_cap: a
-    jump that lands after t_cap is discarded.
-    """
-    state, jump, absorbed = process
-    hit = absorbed(state)
-    times = np.where(hit, 0, t_cap + 1)
-    # working columns of the running replicas, whose indices are in gid
-    gid = np.flatnonzero(~hit)
-    cur = state[:, gid]
-    clock = np.zeros(gid.size, dtype=np.int64)
-    while gid.size:
-        # move, then clock uniforms: like the holds, freed before the next draws
-        nxt, hold = jump(cur, rng.random(gid.size), rng.random(gid.size))
-        clock += hold
-        del hold
-        late = clock > t_cap
-        done = absorbed(nxt) & ~late
-        still = ~(late | done)
-        if not still.all():
-            late, done = np.flatnonzero(late), np.flatnonzero(done)
-            times[gid[done]] = clock[done]
-            hit[gid[done]] = True
-            state[:, gid[late]] = cur[:, late]
-            state[:, gid[done]] = nxt[:, done]
-            gid, nxt, clock = gid[still], nxt[:, still], clock[still]
-        cur = nxt
-    return times, hit
-
-
-def _walk_process(start: np.ndarray, q: float) -> tuple:
-    """The lazy walk from positions ``start`` as a :func:`_jump_chain` process.
-
-    A jump moves +1 when u_move < 1/2, else -1, after a geometric hold
-    with success probability q; the walk is absorbed at 0.
-    """
-    log1m_q = math.log1p(-q) if q < 1.0 else -math.inf
-
-    def jump(pos, u_move, u_clock):
-        return pos + np.where(u_move < 0.5, 1, -1), _geometric_from_uniform(u_clock, log1m_q)
-
-    return start[np.newaxis], jump, lambda pos: pos[0] == 0
 
 
 def hitting_time_samples(
@@ -177,13 +131,64 @@ def hitting_time_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-hitting times for a replica batch, capped at t_cap.
 
-    Simulates the jump chain, which reproduces the lazy walk's law
-    without stepping through individual hold steps.  Returns (times,
-    hit); times carry the sentinel t_cap + 1 where the cap was reached.
+    The walk's jump chain makes a fair +1/-1 jump after each hold, and
+    the holds are iid Geom(q) on {1, 2, ...}, independent of the signs.
+    Each round draws ``_BLOCK`` signs per running replica as random bits
+    and finds the lowest partial sum of the block from per-byte tables;
+    only a replica whose minimum reaches -position has its bits unpacked
+    to find its first jump to 0.  The holds of the r jumps used
+    (r = ``_BLOCK``, or the index of the hitting jump) sum to
+    r + NB(r, q), drawn as one number.  A hit after t_cap, or a block
+    without a hit that ends after t_cap, leaves the sentinel t_cap + 1:
+    any later hit is later still.  Returns (times, hit).  Raises
+    ValueError when q is too small for numpy's negative-binomial
+    sampler (below about 1e-17).
     """
     _check_batch(t_cap, replicas)
-    start = np.full(replicas, params.start, dtype=np.int64)
-    return _jump_chain(_walk_process(start, params.q), t_cap, rng)
+    times = np.full(replicas, t_cap + 1, dtype=np.int64)
+    hit = np.zeros(replicas, dtype=bool)
+    # the running replicas: their indices, positions and clocks
+    gid = np.arange(replicas)
+    pos = np.full(replicas, params.start, dtype=np.int64)
+    clock = np.zeros(replicas, dtype=np.int64)
+    while gid.size:
+        bits = rng.integers(0, 256, (_BLOCK // 8, gid.size), dtype=np.uint8)
+        # position after each byte and lowest partial sum within it; the
+        # partial sums stay within +-_BLOCK, so int8 holds them
+        end = _BYTE_END[bits]
+        np.cumsum(end, axis=0, out=end)
+        low = _BYTE_LOW[bits]
+        low[1:] += end[:-1]
+        near = np.flatnonzero(pos <= -low.min(axis=0))
+        path = np.unpackbits(bits[:, near], axis=0).view(np.int8)
+        path <<= 1
+        path -= 1
+        np.cumsum(path, axis=0, out=path)
+        # a hitting replica starts within _BLOCK of 0, so -pos fits int8
+        first = np.argmax(path == -pos[near].astype(np.int8), axis=0)
+        pos += end[-1]
+        del bits, end, low, path  # freed before the holds' draw
+        used = np.full(gid.size, _BLOCK)
+        used[near] = first + 1
+        # used >= 1, so a ValueError is numpy's range check on used(1-q)/q,
+        # which overflows on the way for a subnormal q
+        try:
+            with np.errstate(over="ignore"):
+                holds = rng.negative_binomial(used, params.q)
+        except ValueError:
+            raise ValueError(
+                f"move probability q={params.q} is too small for the negative-binomial holds"
+            ) from None
+        clock += used
+        late = holds > t_cap - clock
+        clock += holds  # can wrap only in late replicas, which leave
+        ended = near[~late[near]]
+        times[gid[ended]] = clock[ended]
+        hit[gid[ended]] = True
+        still = ~late
+        still[near] = False
+        gid, pos, clock = gid[still], pos[still], clock[still]
+    return times, hit
 
 
 def tail_estimate(samples: np.ndarray, t: int) -> tuple[float, float]:

@@ -2,20 +2,23 @@
 
 Each one derives a quantity the package samples by a route that shares
 no sampling code with it: an exact linear solve for the mean merge
-time, the pure-death chain for the law of the collection time, and the
-dominating walk run next to the coupled pair from the same uniforms.
+time, the pure-death chain for the law of the collection time, the
+per-jump walk for the law of the blocked hitting sampler, and that walk
+run next to the coupled pair from the same uniforms as its dominating
+walk.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from mixlab.bounds import CollectorSpec
-from mixlab.coupling import CoupledKernel, _pair_process
-from mixlab.walk import _check_batch, _walk_process
+from mixlab.coupling import CoupledKernel, _geometric_from_uniform, _pair_process
+from mixlab.walk import _check_batch
 
 #: Largest number of transient pair states the exact linear-system solver
 #: will handle (dense solve).
@@ -50,9 +53,10 @@ def expected_merge_time_exact(kernel: CoupledKernel, x: int, y: int) -> float:
 def _side_by_side(processes: list, t_cap: int, rng: np.random.Generator) -> list:
     """Run processes side by side through their jump chains on shared uniforms.
 
-    The multi-process form of :func:`mixlab.walk._jump_chain`, kept here
-    for :func:`dominated_pair_samples`; run with one process it draws the
-    same uniforms and returns the same samples as the package engine.
+    The multi-process form of :func:`mixlab.coupling._jump_chain`, kept
+    here for :func:`dominated_pair_samples`; run with one process it
+    draws the same uniforms and returns the same samples as the package
+    engine.
 
     Each process is a triple (state, jump, absorbed): ``state`` is an int
     array of shape (dims, replicas) holding the start, with the same
@@ -107,6 +111,22 @@ def _side_by_side(processes: list, t_cap: int, rng: np.random.Generator) -> list
             else:  # every replica ran: take the new arrays as they are
                 cur[p], clocks[p], running[p] = nxt, when, still
             del before, nxt, hold, when  # not held through the next draws
+
+
+def _walk_process(start: np.ndarray, q: float) -> tuple:
+    """The lazy walk from positions ``start`` as a jump-chain process.
+
+    A jump moves +1 when u_move < 1/2, else -1, after a geometric hold
+    with success probability q; the walk is absorbed at 0.  This is the
+    per-jump walk that :func:`dominated_pair_samples` runs beside the
+    pair, and the reference law of :func:`mixlab.walk.hitting_time_samples`.
+    """
+    log1m_q = math.log1p(-q) if q < 1.0 else -math.inf
+
+    def jump(pos, u_move, u_clock):
+        return pos + np.where(u_move < 0.5, 1, -1), _geometric_from_uniform(u_clock, log1m_q)
+
+    return start[np.newaxis], jump, lambda pos: pos[0] == 0
 
 
 @dataclass

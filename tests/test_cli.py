@@ -143,6 +143,17 @@ def test_cli_allocation_failure_exits_cleanly(tmp_path, monkeypatch, capsys):
     )
 
 
+def test_cli_hitting_with_a_tiny_move_probability_exits_cleanly(tmp_path, capsys):
+    """A q the hold sampler cannot take is exit 1 with one line, not a wrapped time."""
+    cfg = _write_config(tmp_path, "c.json", {"kind": "hitting", "m": 1, "q": 1e-19,
+                                             "steps_values": [1000], "replicas": 5})
+    assert cli.main(["hitting", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: move probability q=1e-19 ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_oracle_check_passes(tmp_path):
     cfg = _write_config(tmp_path, "c.json", {"kind": "oracle-check", "n_max": 5, "t_max": 15,
                                              "pair_n_max": 8})

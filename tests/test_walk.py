@@ -1,17 +1,22 @@
 """Reflection-principle survival and the lazy walk hitting time."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from mixlab import ModelParams, replica_stream
-from mixlab.coupling import _pair_process, build_coupled_kernel, merge_time_samples
+from mixlab.coupling import (
+    _geometric_from_uniform,
+    _jump_chain,
+    _pair_process,
+    build_coupled_kernel,
+    merge_time_samples,
+)
 from mixlab.walk import (
     WalkParams,
-    _jump_chain,
-    _walk_process,
     diffusion_majorant,
     gaussian_limit,
     hitting_time_samples,
@@ -19,7 +24,7 @@ from mixlab.walk import (
     survival_exact,
     tail_estimate,
 )
-from reference import _side_by_side
+from reference import _side_by_side, _walk_process
 
 
 def test_survival_frozen_examples():
@@ -178,13 +183,70 @@ def test_merge_sampler_equals_reference_driver(x, y, t_cap):
                      rng, ref_rng)
 
 
-@pytest.mark.parametrize("q,m,t_cap", [(0.3, 2, 500), (1.0, 1, 60), (0.2, 4, 0)])
-def test_hitting_sampler_equals_reference_driver(q, m, t_cap):
-    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-    got = hitting_time_samples(WalkParams(q, m), t_cap, 500, rng)
-    start = np.full(500, m, dtype=np.int64)
-    [ref] = _side_by_side([_walk_process(start, q)], t_cap, ref_rng)
-    _assert_same_run(got, ref, rng, ref_rng)
+@pytest.mark.parametrize("q,m,t_cap", [(0.3, 2, 500), (1.0, 1, 60), (0.04, 50, 4000)])
+def test_hitting_sampler_follows_the_per_jump_law(q, m, t_cap):
+    """Blocked signs with negative-binomial holds against the per-jump walk."""
+    got, got_hit = hitting_time_samples(WalkParams(q, m), t_cap, 5000, np.random.default_rng(6))
+    start = np.full(5000, m, dtype=np.int64)
+    [(ref, _)] = _side_by_side([_walk_process(start, q)], t_cap, np.random.default_rng(7))
+    assert (got[~got_hit] == t_cap + 1).all() and (got[got_hit] <= t_cap).all()
+    assert stats.ks_2samp(got, ref).pvalue > 0.01
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65])
+def test_hitting_survival_across_the_block_edge(m):
+    """Starts on both sides of the block size: a first block can reach 0 from 64, not 65."""
+    q, replicas = 0.5, 20_000
+    grid = sorted({m, 4 * m, m * m, 4 * m * m})
+    times, _ = hitting_time_samples(WalkParams(q, m), grid[-1], replicas, replica_stream(32, m))
+    for t in grid:
+        ref = survival_exact(m, t, q)
+        sigma = math.sqrt(max(ref * (1.0 - ref), 1e-4) / replicas)
+        assert abs(float(np.mean(times > t)) - ref) < 4.0 * sigma
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65])
+def test_hits_without_holds_keep_the_parity_of_the_start(m):
+    """With q = 1 a hit takes as many steps as jumps: at least m, of m's parity."""
+    times, hit = hitting_time_samples(WalkParams(1.0, m), 4 * m * m, 3000, replica_stream(33, m))
+    assert hit.sum() > 1000
+    assert (times[hit] >= m).all() and (times[hit] % 2 == m % 2).all()
+    assert (times == m).any() == (m <= 2)  # a straight descent has chance 2**-m
+
+
+def test_hitting_with_no_time_hits_nothing():
+    times, hit = hitting_time_samples(WalkParams(1.0, 1), 0, 1000, replica_stream(33, 0))
+    assert not hit.any() and (times == 1).all()
+
+
+@pytest.mark.parametrize("q", [1e-19, 5e-324])
+def test_tiny_move_probability_raises_naming_q(q):
+    """Below numpy's negative-binomial range the sampler says so; it never wraps."""
+    with pytest.raises(ValueError, match=f"q={q}"):
+        hitting_time_samples(WalkParams(q, 1), 1000, 5, replica_stream(34, 0))
+
+
+def test_geometric_hold_saturates_instead_of_wrapping():
+    u = np.array([0.0, 1e-300, 0.5, 1.0 - 2.0**-53])
+    holds = _geometric_from_uniform(u, -1e-19)
+    assert holds.tolist() == [1, 1, 2**62 + 1, 2**62 + 1]
+    # in range, the bits are those of the plain floor
+    u = np.random.default_rng(8).random(1000)
+    np.testing.assert_array_equal(
+        _geometric_from_uniform(u, math.log1p(-0.01)),
+        np.floor(np.log1p(-u) / math.log1p(-0.01)).astype(np.int64) + 1,
+    )
+
+
+def test_hitting_sampler_memory_stays_within_its_blocks():
+    """At the benchmark's size a (replicas x block) int64 temporary (10 MB) must not appear."""
+    tracemalloc.start()
+    try:
+        hitting_time_samples(WalkParams(0.04, 50), 4000, 20_000, replica_stream(35, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("t_cap", [0, 30])
