@@ -10,9 +10,11 @@ lazy and aperiodic.
 The block statistic W counts the particles sitting on the first k sites.
 Projected onto W the dynamics is a birth-and-death chain (see
 :mod:`mixlab.lumped`).  This module holds the chain itself on small
-instances: the exact one-step matrix over the full state space, and the
-distance curve it gives from the packed start, which is what every
-lumping claim is checked against.
+instances: the exact one-step matrix over the full state space, kept as
+index arrays of its off-diagonal pairs (every move has the one
+probability 2/n^2) and its diagonal, and the distance curve it gives
+from the packed start, which is what every lumping claim is checked
+against.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy import sparse
 
 UNLABELED = "unlabeled"
 LABELED = "labeled"
@@ -89,53 +90,58 @@ def enumerate_states(params: ModelParams, mode: str) -> list[tuple[int, ...]]:
     return states
 
 
-def transition_matrix(params: ModelParams, mode: str) -> tuple[list[tuple[int, ...]], sparse.csr_matrix]:
-    """Exact one-step matrix of the swap chain over the full state space."""
+def transition_matrix(
+    params: ModelParams, mode: str
+) -> tuple[list[tuple[int, ...]], tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Exact one-step matrix of the swap chain over the full state space.
+
+    Returns ``(states, (rows, cols), diag)``: each off-diagonal entry
+    P[rows[i], cols[i]] is the swap probability 2/n^2 (sites x < y drawn
+    in either order), and ``diag`` holds the probabilities of staying.
+    Each swap undoes itself, so P is symmetric and every pair is listed
+    in both orders.
+    """
     states = enumerate_states(params, mode)
     index = {s: i for i, s in enumerate(states)}
     n = params.n
     p_swap = 2.0 / n**2
     rows: list[int] = []
     cols: list[int] = []
-    vals: list[float] = []
+    diag = np.empty(len(states))
     for s_idx, cells in enumerate(states):
-        diag = 1.0 / n  # the n draws with x == y
+        stay = 1.0 / n  # the n draws with x == y
         for x in range(n):
             cx = cells[x]
             for y in range(x + 1, n):
                 if cx == cells[y]:
-                    diag += p_swap
+                    stay += p_swap
                 else:
                     swapped = list(cells)
                     swapped[x], swapped[y] = swapped[y], swapped[x]
                     rows.append(s_idx)
                     cols.append(index[tuple(swapped)])
-                    vals.append(p_swap)
-        rows.append(s_idx)
-        cols.append(s_idx)
-        vals.append(diag)
-    size = len(states)
-    matrix = sparse.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))), shape=(size, size)
-    )
-    return states, matrix
+        diag[s_idx] = stay
+    return states, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), diag
 
 
 def brute_force_tv_curve(params: ModelParams, mode: str, t_max: int) -> np.ndarray:
-    """TV distance to the uniform stationary law at t = 0..t_max, exactly."""
+    """TV distance to the uniform stationary law at t = 0..t_max, exactly.
+
+    One step of the law is mu P = diag * mu + 2/n^2 * (mass sent along each
+    off-diagonal pair); P is symmetric, so that is also P mu.
+    """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    states, matrix = transition_matrix(params, mode)
+    states, (rows, cols), diag = transition_matrix(params, mode)
     start = _initial_cells(params, mode)
     size = len(states)
+    p_swap = 2.0 / params.n**2
     mu = np.zeros(size)
     mu[states.index(start)] = 1.0
     uniform = 1.0 / size
-    step_t = matrix.transpose().tocsr()
     curve = np.empty(t_max + 1)
     for t in range(t_max + 1):
         curve[t] = 0.5 * np.abs(mu - uniform).sum()
         if t < t_max:
-            mu = step_t @ mu
+            mu = diag * mu + p_swap * np.bincount(cols, weights=mu[rows], minlength=size)
     return curve
-

@@ -60,6 +60,13 @@ _TINY = float(np.finfo(float).tiny)
 #: a larger one is an error.
 _TV_WOBBLE = 1e-12
 
+#: d_curve refuses a curve that takes more state-steps, t_max (k + 1), or
+#: holds more rows, t_max // stride + 1, than these: at about a
+#: nanosecond per state-step and some 150 bytes per row once the record
+#: is built, that is minutes of stepping or about 600 MB.
+_CURVE_STATE_STEPS = 10**11
+_CURVE_ROWS = 1 << 22
+
 #: Distances are computed for blocks of up to this many laws at once,
 #: fewer when k is large so that a block stays near _BLOCK_BYTES.
 _BLOCK_ROWS = 64
@@ -440,12 +447,19 @@ def d_curve(params: ModelParams, t_max: int, stride: int = 1) -> MixingProfile:
 
     Samples t = 0, stride, 2*stride, ... up to t_max.  Float wobble can
     lift d by up to 1e-12 from one sample to the next; such steps are
-    clamped, and a larger rise raises RuntimeError.
+    clamped, and a larger rise raises RuntimeError.  A curve beyond
+    ``_CURVE_STATE_STEPS`` or ``_CURVE_ROWS`` raises ValueError before
+    anything is allocated.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     if stride < 1:
         raise ValueError("stride must be positive")
+    if t_max * (params.k + 1) > _CURVE_STATE_STEPS or t_max // stride + 1 > _CURVE_ROWS:
+        raise ValueError(
+            f"t_max={t_max} with k={params.k} and stride={stride} is beyond the cap of "
+            f"{_CURVE_STATE_STEPS} state-steps t_max*(k+1) and {_CURVE_ROWS} rows t_max//stride+1"
+        )
     kernel = build_kernel(params)
     pi = equilibrium(params)
     stepper = _Stepper(kernel, delta_at(params.k, params.k + 1))

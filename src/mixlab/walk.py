@@ -9,9 +9,12 @@ first zero visit pairs it with a free path that exits the window, and
 the lazy steps make the correspondence exact at every finite time.
 
 The free-walk window mass is an exact binomial mixture over the number
-of moves; an independent absorbing-boundary dynamic program over the
-positive half-line provides the cross-check, and a Gaussian evaluator
-covers the diffusive limit where m ~ alpha * s and steps ~ beta * s^2 / q.
+of moves, taken from ratio recurrences of binomial coefficients in
+numpy alone: the move-count weights outward from their mode, and each
+window as running products outward from its central term.  An
+independent absorbing-boundary dynamic program over the positive
+half-line provides the cross-check, and a Gaussian evaluator covers the
+diffusive limit where m ~ alpha * s and steps ~ beta * s^2 / q.
 
 Simulation goes through the jump chain: a fair +1/-1 move per jump and
 a geometric holding time before it.  The hitting sampler draws the signs
@@ -26,10 +29,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 #: Brute-force dynamic program is quadratic in steps; keep it honest.
 _BRUTEFORCE_STEP_CAP = 10_000
+
+#: exp underflows to 0 below -745, so a binomial weight more than this
+#: far below the mode's in log is 0 in double precision.
+_LOG_UNDERFLOW = 745.0
+
+#: Entries per block of the window sums of :func:`survival_exact` (a
+#: block has at least 16 move counts).
+_SPREAD_ENTRIES = 1 << 12
 
 #: Jumps drawn per running replica and round of the hitting sampler:
 #: eight random bytes of fair signs.
@@ -67,11 +77,96 @@ def _validate(m: int, steps: int, q: float) -> None:
         raise ValueError(f"steps must be nonnegative, got {steps}")
 
 
-def _binom_cdf(k: np.ndarray, n: np.ndarray | int, p: float) -> np.ndarray:
-    """P[Bin(n, p) <= k] elementwise (0 for k < 0, 1 for k >= n), accurate
-    to a few ulps through the regularized incomplete beta function."""
-    inner = betainc(np.maximum(n - k, 1), np.maximum(k, 0) + 1, 1.0 - p)
-    return np.where(k < 0, 0.0, np.where(k >= n, 1.0, inner))
+def _binomial_weights(steps: int, q: float) -> tuple[int, np.ndarray]:
+    """(lo, w): the Bin(steps, q) weights of the move counts lo, lo + 1, ...
+    scaled so that the mode's is 1, as far as they lie within
+    ``_LOG_UNDERFLOW`` of it in log (the rest are 0 in double precision).
+
+    Each log-weight is the running sum of the log-ratios
+    log w(j + 1) - log w(j) = log((steps - j) / (j + 1)) + log(q / (1 - q)),
+    taken outward from the mode floor((steps + 1) q) on both sides, so the
+    sum is small wherever the weight is not.  The window starts at 40
+    standard deviations on each side and doubles until both sides end.
+    """
+    if q == 1.0:  # every step moves; the log-odds are infinite
+        return steps, np.ones(1)
+    mode = min(int((steps + 1) * q), steps)
+    log_odds = math.log(q) - math.log1p(-q)
+    width = int(40.0 * math.sqrt(steps * q * (1.0 - q))) + 64
+    while True:
+        lo, hi = max(mode - width, 0), min(mode + width, steps)
+        ratio = np.arange(lo + 1.0, hi + 1.0)  # j + 1
+        np.divide(steps + 1.0 - ratio, ratio, out=ratio)
+        np.log(ratio, out=ratio)
+        ratio += log_odds
+        below = ratio[: mode - lo]
+        np.negative(below, out=below)
+        up = np.cumsum(ratio[mode - lo :])
+        down = np.cumsum(below[::-1])
+        del ratio, below  # freed before the concatenation below
+        if (hi == steps or up[-1] < -_LOG_UNDERFLOW) and (lo == 0 or down[-1] < -_LOG_UNDERFLOW):
+            break
+        width *= 2
+    logw = np.concatenate((down[::-1], [0.0], up))
+    # the log-weight is concave: its ends are its least, and the ones above
+    # the cut are contiguous
+    if min(logw[0], logw[-1]) < -_LOG_UNDERFLOW:
+        kept = np.flatnonzero(logw >= -_LOG_UNDERFLOW)
+        lo += int(kept[0])
+        logw = logw[kept[0] : kept[-1] + 1]
+    return lo, np.exp(logw, out=logw)
+
+
+def _central_table(size: int) -> np.ndarray:
+    """C(M, M // 2) / 2^M for M < size, each an exact integer quotient,
+    correctly rounded."""
+    terms, comb = [], 1
+    for moves in range(size):
+        terms.append(comb / (1 << moves))
+        comb = comb * (moves + 1) // (moves // 2 + 1) if moves % 2 == 0 else 2 * comb
+    return np.array(terms)
+
+
+_CENTRAL = _central_table(1024)
+
+
+def _central(moves: np.ndarray) -> np.ndarray:
+    """C(M, M // 2) / 2^M elementwise, to about an ulp.
+
+    From the table below 1024; above, from the asymptotic series of
+    Gamma(h + 1/2) / Gamma(h + 1) with h = M // 2, whose first omitted
+    term is below 1e-27 there:
+    C(2h, h) / 4^h = exp(-1/(8h) + 1/(192h^3) - 1/(640h^5) + 17/(14336h^7)) / sqrt(pi h),
+    and C(2h + 1, h) / 2^(2h + 1) is that times (2h + 1) / (2h + 2).
+    """
+    if moves[-1] < _CENTRAL.size:
+        return _CENTRAL[moves]
+    central = np.empty(moves.size)
+    small = moves < _CENTRAL.size
+    central[small] = _CENTRAL[moves[small]]
+    large = moves[~small]
+    half = large // 2
+    x = 1.0 / half
+    x2 = x * x
+    series = x * (-1.0 / 8.0 + x2 * (1.0 / 192.0 + x2 * (-1.0 / 640.0 + x2 * (17.0 / 14336.0))))
+    value = np.exp(series) / np.sqrt(np.pi * half)
+    odd = large % 2 == 1
+    value[odd] *= large[odd] / (large[odd] + 1.0)
+    central[~small] = value
+    return central
+
+
+def _negligible_beyond(half: int) -> int:
+    """An offset J past which the terms C(M, h + j) / 2^M, j > J, of any
+    M <= 2 half + 1 sum to less than 2^-55 on both sides of the centre.
+
+    With h = M // 2, C(M, h + j) / C(M, h) <= exp(-(j^2 - j) / (h + j)),
+    which falls with j, and at most h + 1 terms lie on each side; J solves
+    (J^2 - J) / (h + J) = L with L = log(2 (h + 1) 2^55).
+    """
+    log_bound = 55.0 * math.log(2.0) + math.log(2.0 * (half + 1))
+    root = math.sqrt((1.0 + log_bound) ** 2 + 4.0 * log_bound * half)
+    return math.ceil((1.0 + log_bound + root) / 2.0)
 
 
 def survival_exact(m: int, steps: int, q: float) -> float:
@@ -80,13 +175,45 @@ def survival_exact(m: int, steps: int, q: float) -> float:
     The free walk from 0 makes M ~ Bin(steps, q) moves and then sits at
     2 Bin(M, 1/2) - M; the result is its mass inside [-m+1, m], summed
     over the move counts whose binomial weight is not zero in double
-    precision.
+    precision.  For each M the window mass is the central term
+    C(M, h) / 2^M, h = M // 2, times the sum of C(M, h + j) / C(M, h) over
+    the offsets j the window holds, each a running product of
+    C(M, b + 1) / C(M, b) = (M - b) / (b + 1).  The cost is O(m sqrt(steps q))
+    and the memory O(m + sqrt(steps q)); a window so wide that it holds
+    all but 2^-55 of every mass gives 1 at once.
     """
     _validate(m, steps, q)
-    weights = np.diff(_binom_cdf(np.arange(-1, steps + 1), steps, q))
-    moves = np.flatnonzero(weights)
-    inside = _binom_cdf((moves + m) // 2, moves, 0.5) - _binom_cdf((moves - m) // 2, moves, 0.5)
-    return float(weights[moves] @ inside)
+    lo, weights = _binomial_weights(steps, q)
+    hi = lo + weights.size
+    if (m - 1) // 2 >= _negligible_beyond((hi - 1) // 2):
+        # every window holds all but 2^-55 of its mass, which rounds to 1
+        return 1.0
+    width = (m + 1) // 2
+    offsets = np.arange(1, width + 1)
+    rows = max(16, _SPREAD_ENTRIES // width)
+    total = 0.0
+    for start in range(lo, hi, rows):
+        stop = min(start + rows, hi)
+        moves = np.arange(start, stop)
+        half = moves >> 1
+        # C(M, h + j) / C(M, h) for j = 1..width, 0 past h + j = M
+        terms = np.subtract.outer(moves - half + 1, offsets) / np.add.outer(half, offsets)
+        np.cumprod(terms, axis=1, out=terms)
+        # C(M, h + j) / 2^M is the mass at x = 2j - M % 2 and at -x.  Both
+        # lie in [-m+1, m] for j < width; at j = width, x = m + 1 - M % 2
+        # when m is odd, and x = m - M % 2 when m is even, so the window
+        # drops one copy if m is odd and one more if M is even.  Offset 0
+        # is x = 0 at even M; at odd M it is the mirror of offset 1.
+        last = terms[:, -1]
+        inside = terms.sum(axis=1)
+        inside *= 2.0
+        if m % 2:
+            inside -= last
+        even = slice(start % 2, None, 2)
+        inside[even] += 1.0 - last[even]
+        inside *= _central(moves)
+        total += weights[start - lo : stop - lo] @ inside
+    return float(total / weights.sum())
 
 
 def survival_bruteforce(m: int, steps: int, q: float) -> np.ndarray:

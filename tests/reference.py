@@ -5,7 +5,10 @@ no sampling code with it: an exact linear solve for the mean merge
 time, the pure-death chain for the law of the collection time, the
 per-jump walk for the law of the blocked hitting sampler, and that walk
 run next to the coupled pair from the same uniforms as its dominating
-walk.
+walk.  Two more keep scipy routes to exact quantities: the walk's
+survival through the regularized incomplete beta function, and the
+swap chain's one-step matrix as a ``scipy.sparse`` matrix with the law
+stepped by sparse products.
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.special import betainc
 
+from mixlab import exclusion
 from mixlab.bounds import CollectorSpec
 from mixlab.coupling import CoupledKernel, _geometric_from_uniform, _pair_process
-from mixlab.walk import _check_batch
+from mixlab.walk import _check_batch, _validate
 
 #: Largest number of transient pair states the exact linear-system solver
 #: will handle (dense solve).
@@ -204,3 +210,53 @@ def collection_time_cdf(spec: CollectorSpec, draws: int) -> np.ndarray:
         law[:-1] += fresh
         cdf[d] = law[0]
     return cdf
+
+
+def _binom_cdf(k: np.ndarray, n: np.ndarray | int, p: float) -> np.ndarray:
+    """P[Bin(n, p) <= k] elementwise (0 for k < 0, 1 for k >= n), accurate
+    to a few ulps through the regularized incomplete beta function."""
+    inner = betainc(np.maximum(n - k, 1), np.maximum(k, 0) + 1, 1.0 - p)
+    return np.where(k < 0, 0.0, np.where(k >= n, 1.0, inner))
+
+
+def survival_betainc(m: int, steps: int, q: float) -> float:
+    """:func:`mixlab.walk.survival_exact` through binomial CDFs.
+
+    The same reflection identity, with the Bin(steps, q) weights as
+    differences of CDF values over all steps + 1 move counts and each
+    window mass P[2 Bin(M, 1/2) - M in [-m+1, m]] as a difference of two
+    CDF values.
+    """
+    _validate(m, steps, q)
+    weights = np.diff(_binom_cdf(np.arange(-1, steps + 1), steps, q))
+    moves = np.flatnonzero(weights)
+    inside = _binom_cdf((moves + m) // 2, moves, 0.5) - _binom_cdf((moves - m) // 2, moves, 0.5)
+    return float(weights[moves] @ inside)
+
+
+def transition_csr(params, mode: str) -> tuple[list, sparse.csr_matrix]:
+    """The swap chain's one-step matrix P as a CSR matrix, with its states.
+
+    Built from :func:`mixlab.exclusion.transition_matrix`: the swap
+    probability 2/n^2 at every off-diagonal pair, and the diagonal.
+    """
+    states, (rows, cols), diag = exclusion.transition_matrix(params, mode)
+    size = len(states)
+    entries = np.concatenate((np.full(rows.size, 2.0 / params.n**2), diag))
+    at = (np.concatenate((rows, np.arange(size))), np.concatenate((cols, np.arange(size))))
+    return states, sparse.csr_matrix((entries, at), shape=(size, size))
+
+
+def tv_curve_csr(params, mode: str, t_max: int) -> np.ndarray:
+    """:func:`mixlab.exclusion.brute_force_tv_curve` by sparse products:
+    the law steps as P^T mu with P^T in CSR form."""
+    states, matrix = transition_csr(params, mode)
+    mu = np.zeros(len(states))
+    mu[states.index(exclusion._initial_cells(params, mode))] = 1.0
+    step_t = matrix.transpose().tocsr()
+    curve = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        curve[t] = 0.5 * np.abs(mu - 1.0 / len(states)).sum()
+        if t < t_max:
+            mu = step_t @ mu
+    return curve

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,57 @@ def test_cli_hitting_with_a_tiny_move_probability_exits_cleanly(tmp_path, capsys
     assert captured.out == ""
     assert captured.err.startswith("error: move probability q=1e-19 ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": 40000, "k": 2000, "t_max": 10**12},  # 2e15 state-steps, 1e12 rows
+    {"n": 40000, "k": 2000, "t_max": 10**8, "stride": 1000},  # 2e11 state-steps
+    {"n": 40, "k": 1, "t_max": 2 * 10**7, "stride": 4},  # 5e6 rows
+])
+def test_cli_tv_curve_refuses_an_oversized_curve(tmp_path, capsys, payload):
+    """Too many state-steps or rows is exit 1 with one line, before any allocation."""
+    cfg = _write_config(tmp_path, "c.json", dict(payload, kind="tv-curve"))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = cli.main(["tv-curve", "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert time.perf_counter() - start < 5.0
+    assert peak < 1_000_000
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: t_max={payload['t_max']} with k={payload['k']} ")
+    assert "beyond the cap" in captured.err and captured.err.count("\n") == 1
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    """The package runs on numpy alone: a process that imports the CLI and
+    runs the kinds that call the walk's survival and the brute-force chain
+    has no scipy module loaded."""
+    configs = {
+        "oracle-check": {"n_max": 4, "t_max": 5, "pair_n_max": 4, "walk_m_max": 3,
+                         "walk_steps_max": 8},
+        "hitting": {"m": 3, "q": 0.3, "steps_values": [10, 40], "replicas": 50},
+        "coupling": {"n": 30, "k": 6, "t_values": [20, 40], "replicas": 50},
+    }
+    for kind, payload in configs.items():
+        _write_config(tmp_path, f"{kind}.json", dict(payload, kind=kind))
+    script = (
+        "import sys\n"
+        "from mixlab import cli\n"
+        f"for kind in {list(configs)!r}:\n"
+        "    code = cli.main([kind, '--config', kind + '.json', '--out', kind + '.csv'])\n"
+        "    assert code == 0, kind\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+    assert all((tmp_path / f"{kind}.csv").stat().st_size > 0 for kind in configs)
 
 
 def test_cli_oracle_check_passes(tmp_path):

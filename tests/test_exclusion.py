@@ -8,6 +8,7 @@ import pytest
 from mixlab import LABELED, UNLABELED, ModelParams
 from mixlab import exclusion
 from mixlab.lumped import build_kernel, d_curve
+from reference import transition_csr, tv_curve_csr
 
 
 def test_params_validation():
@@ -34,7 +35,7 @@ def test_step_swaps_and_noop():
     their contents, x = y and equal contents leave the state alone, and
     the same swap undoes itself."""
     params = ModelParams(5, 2)
-    states, matrix = exclusion.transition_matrix(params, LABELED)
+    states, matrix = transition_csr(params, LABELED)
     index = {s: i for i, s in enumerate(states)}
     start, swapped = index[(1, 2, 0, 0, 0)], index[(0, 2, 0, 1, 0)]
     # sites 1 and 4 are drawn in either order
@@ -46,7 +47,7 @@ def test_step_swaps_and_noop():
 
 def test_step_conserves_particles():
     """Every move of the chain exchanges the contents of exactly two sites."""
-    states, matrix = exclusion.transition_matrix(ModelParams(8, 3), LABELED)
+    states, matrix = transition_csr(ModelParams(8, 3), LABELED)
     coo = matrix.tocoo()
     for i, j in zip(coo.row, coo.col):
         if i == j:
@@ -77,7 +78,7 @@ def test_enumeration_cap():
 def test_transition_matrix_invariants(mode):
     """Swaps are involutions, so the chain is symmetric and doubly stochastic."""
     params = ModelParams(6, 2)
-    states, matrix = exclusion.transition_matrix(params, mode)
+    states, matrix = transition_csr(params, mode)
     dense = matrix.toarray()
     np.testing.assert_allclose(dense.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert (dense >= 0).all()
@@ -91,7 +92,7 @@ def test_transition_matrix_invariants(mode):
 
 def _law(params, mode, t):
     """Exact law after t steps from the packed start, by the full matrix."""
-    states, matrix = exclusion.transition_matrix(params, mode)
+    states, matrix = transition_csr(params, mode)
     mu = np.zeros(len(states))
     mu[states.index(exclusion._initial_cells(params, mode))] = 1.0
     for _ in range(t):
@@ -156,9 +157,18 @@ def test_kernel_is_exact_projection_of_swap_matrix(n, k, mode):
     """Markov lumpability: from every configuration, the one-step mass on
     each W level set is the lumped kernel's row at that configuration's W."""
     params = ModelParams(n, k)
-    states, matrix = exclusion.transition_matrix(params, mode)
+    states, matrix = transition_csr(params, mode)
     w = np.array([sum(1 for v in s[:k] if v) for s in states])
     projected = matrix @ (w[:, None] == np.arange(k + 1)).astype(float)
     kernel = build_kernel(params)
     rows = np.diag(kernel.stay) + np.diag(kernel.up[:-1], 1) + np.diag(kernel.down[1:], -1)
     assert np.abs(projected - rows[w]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("mode", [UNLABELED, LABELED])
+@pytest.mark.parametrize("n,k", [(6, 2), (7, 3), (8, 3)])
+def test_tv_curve_matches_sparse_stepping(n, k, mode):
+    """Stepping the law by index arrays agrees with sparse products P^T mu."""
+    params = ModelParams(n, k)
+    curve = exclusion.brute_force_tv_curve(params, mode, 40)
+    np.testing.assert_allclose(curve, tv_curve_csr(params, mode, 40), rtol=0, atol=1e-15)

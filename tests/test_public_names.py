@@ -119,3 +119,21 @@ def test_every_import_in_the_package_is_used():
                    if not used[name]]
     assert len(list(PACKAGE.glob("*.py"))) > 10  # the scan found the package
     assert unused == []
+
+
+def test_the_package_never_imports_scipy():
+    """numpy is the package's only dependency: no module imports scipy,
+    at module level or inside a function."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in modules
+                      if name.split(".")[0] == "scipy"]
+    assert len(list(PACKAGE.glob("*.py"))) > 10  # the scan found the package
+    assert found == []

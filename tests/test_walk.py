@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from mixlab import ModelParams, replica_stream
+from mixlab import ModelParams, replica_stream, walk
 from mixlab.coupling import (
     _geometric_from_uniform,
     _jump_chain,
@@ -24,7 +24,7 @@ from mixlab.walk import (
     survival_exact,
     tail_estimate,
 )
-from reference import _side_by_side, _walk_process
+from reference import _side_by_side, _walk_process, survival_betainc
 
 
 def test_survival_frozen_examples():
@@ -57,6 +57,49 @@ def test_exact_matches_bruteforce_long_horizon():
     assert survival_exact(10, 3000, 0.3) == pytest.approx(
         survival_bruteforce(10, 3000, 0.3)[-1], abs=1e-12
     )
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.04, 0.1, 0.3, 0.5, 1.0])
+def test_exact_matches_the_betainc_reference(q):
+    """The ratio recurrences agree with the binomial CDFs through betainc."""
+    for m in (1, 2, 5, 50, 63, 200):
+        for steps in (0, 1, 2, 3, 10, 99, 100, 1000, 40000):
+            assert survival_exact(m, steps, q) == pytest.approx(
+                survival_betainc(m, steps, q), abs=1e-14
+            ), (m, steps)
+
+
+def test_exact_across_the_edge_of_the_central_table():
+    """Move counts from 0 to past 1024 in one block: the central terms
+    come from the exact table below 1024 and from the series above."""
+    for m in (1, 2, 3):
+        assert survival_exact(m, 10**5, 0.005) == pytest.approx(
+            survival_betainc(m, 10**5, 0.005), abs=1e-14
+        )
+
+
+def test_exact_keeps_only_the_weights_above_underflow(monkeypatch):
+    """At a million steps the move counts are built outward from the mode
+    and stop where exp underflows: well under 0.5 MB, and the value of a
+    run over every move count."""
+    tracemalloc.start()
+    try:
+        cut = survival_exact(50, 10**6, 0.04)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    monkeypatch.setattr(walk, "_LOG_UNDERFLOW", math.inf)
+    assert cut == pytest.approx(survival_exact(50, 10**6, 0.04), abs=1e-15)
+
+
+def test_exact_across_the_full_window_shortcut():
+    """A window that holds every term of note gives 1 without a pass over it."""
+    for m in range(560, 640, 9):  # survival 1 is returned from m = 593 on
+        assert survival_exact(m, 4000, 0.5) == pytest.approx(
+            survival_betainc(m, 4000, 0.5), abs=1e-14
+        )
+    assert survival_exact(10**12, 10**6, 0.5) == 1.0
 
 
 def test_survival_monotonicity():
