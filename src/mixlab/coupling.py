@@ -26,9 +26,8 @@ yields the longer holding time) produces, pathwise, a reflecting-free
 walk whose zero-hitting time tau' is never smaller than tau.
 
 The merge sampler runs the pair through its jump chain, one move and
-one clock uniform per jump (:func:`_jump_chain`); the walk's hitting
-sampler in :mod:`mixlab.walk` draws its holds as negative-binomial sums
-instead.
+one clock uniform per jump; the walk's hitting sampler in
+:mod:`mixlab.walk` draws its holds as negative-binomial sums instead.
 """
 
 from __future__ import annotations
@@ -62,45 +61,6 @@ def _geometric_from_uniform(u: np.ndarray, log1m_q: np.ndarray | float) -> np.nd
     clock plus hold inside int64; smaller values keep their bits.
     """
     return np.minimum(np.floor(np.log1p(-u) / log1m_q), _HOLD_SATURATION).astype(np.int64) + 1
-
-
-def _jump_chain(process: tuple, t_cap: int, rng: np.random.Generator) -> tuple:
-    """Run a batch of replicas of one process through its jump chain.
-
-    The process is a triple (state, jump, absorbed): ``state`` is an int
-    array of shape (dims, replicas) holding the start; ``jump(state,
-    u_move, u_clock)`` returns the state after one jump and the holding
-    time spent before it; ``absorbed(state)`` marks absorbing states, and
-    a replica that starts in one is absorbed at time 0.  Every round
-    draws one move and one clock uniform per running replica.  Returns
-    (times, hit); times carry t_cap + 1 where the cap came first.
-    ``state`` is overwritten with the state at absorption, or at t_cap: a
-    jump that lands after t_cap is discarded.
-    """
-    state, jump, absorbed = process
-    hit = absorbed(state)
-    times = np.where(hit, 0, t_cap + 1)
-    # working columns of the running replicas, whose indices are in gid
-    gid = np.flatnonzero(~hit)
-    cur = state[:, gid]
-    clock = np.zeros(gid.size, dtype=np.int64)
-    while gid.size:
-        # move, then clock uniforms: like the holds, freed before the next draws
-        nxt, hold = jump(cur, rng.random(gid.size), rng.random(gid.size))
-        clock += hold
-        del hold
-        late = clock > t_cap
-        done = absorbed(nxt) & ~late
-        still = ~(late | done)
-        if not still.all():
-            late, done = np.flatnonzero(late), np.flatnonzero(done)
-            times[gid[done]] = clock[done]
-            hit[gid[done]] = True
-            state[:, gid[late]] = cur[:, late]
-            state[:, gid[done]] = nxt[:, done]
-            gid, nxt, clock = gid[still], nxt[:, still], clock[still]
-        cur = nxt
-    return times, hit
 
 
 @dataclass(frozen=True)
@@ -151,27 +111,6 @@ class CoupledKernel:
         c3 = c2 + down[i]
         q = c3 + up[j]
         return c1 / q, c2 / q, c3 / q, q
-
-
-def _pair_process(kernel: CoupledKernel, x: int, y: int, replicas: int) -> tuple:
-    """The pair from (x, y) as a jump-chain process, absorbed on the diagonal.
-
-    From an off-diagonal state (i, j) a jump makes one of the four moves
-    split by :meth:`CoupledKernel.skeleton_thresholds`, after a geometric
-    hold with success probability q(i, j).
-    """
-    if not (0 <= y <= x <= kernel.params.k):
-        raise ValueError(f"start must satisfy 0 <= y <= x <= k, got ({x}, {y})")
-
-    def jump(state, u_move, u_clock):
-        a, b, c, q = kernel.skeleton_thresholds(state[0], state[1])
-        move = (u_move >= a).astype(np.int8) + (u_move >= b) + (u_move >= c)
-        with np.errstate(divide="ignore"):
-            log1m_q = np.log1p(-q)  # -inf when q == 1 (single forced move)
-        return state + _PAIR_MOVES[:, move], _geometric_from_uniform(u_clock, log1m_q)
-
-    state = np.repeat(np.array([[x], [y]], dtype=np.int64), replicas, axis=1)
-    return state, jump, lambda pair: pair[0] == pair[1]
 
 
 def build_coupled_kernel(params: ModelParams) -> CoupledKernel:
@@ -229,12 +168,47 @@ def merge_time_samples(
     """Vectorized joint-chain simulation from pair state (x, y).
 
     Runs the pair through its jump chain: each jump draws its move and
-    its geometric holding time from two uniforms, so hold steps cost
-    nothing.
+    then its geometric holding time from one uniform each, per running
+    replica, so hold steps cost nothing.  A replica leaves the batch when
+    it meets the diagonal, or with the state it held at t_cap when its
+    next jump lands after t_cap.  A start on the diagonal merges at 0
+    without a draw.
     """
     _check_batch(t_cap, replicas)
-    state, jump, met = _pair_process(kernel, x, y, replicas)
-    tau, merged = _jump_chain((state, jump, met), t_cap, rng)
+    if not (0 <= y <= x <= kernel.params.k):
+        raise ValueError(f"start must satisfy 0 <= y <= x <= k, got ({x}, {y})")
+    state = np.repeat(np.array([[x], [y]], dtype=np.int64), replicas, axis=1)
+    if x == y:
+        tau = np.zeros(replicas, dtype=np.int64)
+        return MergeSamples(t_cap, tau, np.ones(replicas, dtype=bool), state[0], state[1])
+    tau = np.full(replicas, t_cap + 1, dtype=np.int64)
+    merged = np.zeros(replicas, dtype=bool)
+    # working columns of the running replicas, whose indices are in gid
+    gid = np.arange(replicas)
+    cur = state.copy()
+    clock = np.zeros(replicas, dtype=np.int64)
+    while gid.size:
+        u_move, u_clock = rng.random(gid.size), rng.random(gid.size)
+        a, b, c, q = kernel.skeleton_thresholds(cur[0], cur[1])
+        move = (u_move >= a).astype(np.int8) + (u_move >= b) + (u_move >= c)
+        with np.errstate(divide="ignore"):
+            log1m_q = np.log1p(-q)  # -inf when q == 1 (single forced move)
+        clock += _geometric_from_uniform(u_clock, log1m_q)
+        nxt = cur + _PAIR_MOVES[:, move]
+        # freed before the compaction; freeing each once used lowered the
+        # peak but took about five times the minor page faults, and ran slower
+        del u_move, u_clock, a, b, c, q, move, log1m_q
+        late = clock > t_cap
+        done = (nxt[0] == nxt[1]) & ~late
+        still = ~(late | done)
+        if not still.all():
+            late, done = np.flatnonzero(late), np.flatnonzero(done)
+            tau[gid[done]] = clock[done]
+            merged[gid[done]] = True
+            state[:, gid[late]] = cur[:, late]
+            state[:, gid[done]] = nxt[:, done]
+            gid, nxt, clock = gid[still], nxt[:, still], clock[still]
+        cur = nxt
     return MergeSamples(t_cap, tau, merged, state[0], state[1])
 
 

@@ -11,16 +11,21 @@ the lazy steps make the correspondence exact at every finite time.
 The free-walk window mass is an exact binomial mixture over the number
 of moves, taken from ratio recurrences of binomial coefficients in
 numpy alone: the move-count weights outward from their mode, and each
-window as running products outward from its central term.  An
-independent absorbing-boundary dynamic program over the positive
-half-line provides the cross-check, and a Gaussian evaluator covers the
-diffusive limit where m ~ alpha * s and steps ~ beta * s^2 / q.
+window as running products outward from its central term.  Two tail
+bounds cut both sums in closed form.  Bernstein's inequality for
+Bin(steps, q) gives the window of move counts outside which at most
+2^-64 of the mass lies, and Hoeffding's for Bin(M, 1/2) gives the start
+m from which every window [-m+1, m] misses less than 2^-55 of its mass,
+so that the survival rounds to 1 without a sum.  An independent
+absorbing-boundary dynamic program over the positive half-line provides
+the cross-check, and a Gaussian evaluator covers the diffusive limit
+where m ~ alpha * s and steps ~ beta * s^2 / q.
 
 Simulation goes through the jump chain: a fair +1/-1 move per jump and
 a geometric holding time before it.  The hitting sampler draws the signs
 in blocks from random bits and each block's holds as one
-negative-binomial sum; the coupled pair of :mod:`mixlab.coupling` runs
-on its own per-jump engine.
+negative-binomial sum; the coupled pair of :mod:`mixlab.coupling` is
+run one jump per round.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ import numpy as np
 #: Brute-force dynamic program is quadratic in steps; keep it honest.
 _BRUTEFORCE_STEP_CAP = 10_000
 
-#: exp underflows to 0 below -745, so a binomial weight more than this
-#: far below the mode's in log is 0 in double precision.
-_LOG_UNDERFLOW = 745.0
+#: L of the move-count window of :func:`_binomial_weights`, which leaves
+#: out at most 2 exp(-L) = 2^-64 of the Bin(steps, q) mass.
+_TAIL_LOG = 65.0 * math.log(2.0)
 
 #: Entries per block of the window sums of :func:`survival_exact` (a
 #: block has at least 16 move counts).
@@ -79,41 +84,34 @@ def _validate(m: int, steps: int, q: float) -> None:
 
 def _binomial_weights(steps: int, q: float) -> tuple[int, np.ndarray]:
     """(lo, w): the Bin(steps, q) weights of the move counts lo, lo + 1, ...
-    scaled so that the mode's is 1, as far as they lie within
-    ``_LOG_UNDERFLOW`` of it in log (the rest are 0 in double precision).
+    scaled so that the mode's is 1, over a window that holds all but
+    2 exp(-L) of the mass, L = ``_TAIL_LOG``.
 
-    Each log-weight is the running sum of the log-ratios
+    With mean mu = steps q and variance v = mu (1 - q), Bernstein's
+    inequality puts Bin(steps, q) at least w from mu with probability at
+    most 2 exp(-w^2 / (2 (v + w/3))), and w = L/3 + sqrt(L^2/9 + 2 L v)
+    makes that 2 exp(-L).  The window is [floor(mu - w), ceil(mu + w)]
+    within 0..steps, widened to hold the mode floor((steps + 1) q), so
+    it has O(sqrt(steps q) + L) move counts.  Each log-weight is the
+    running sum of the log-ratios
     log w(j + 1) - log w(j) = log((steps - j) / (j + 1)) + log(q / (1 - q)),
-    taken outward from the mode floor((steps + 1) q) on both sides, so the
-    sum is small wherever the weight is not.  The window starts at 40
-    standard deviations on each side and doubles until both sides end.
+    taken outward from the mode on both sides, so the sum is small
+    wherever the weight is not.
     """
     if q == 1.0:  # every step moves; the log-odds are infinite
         return steps, np.ones(1)
     mode = min(int((steps + 1) * q), steps)
-    log_odds = math.log(q) - math.log1p(-q)
-    width = int(40.0 * math.sqrt(steps * q * (1.0 - q))) + 64
-    while True:
-        lo, hi = max(mode - width, 0), min(mode + width, steps)
-        ratio = np.arange(lo + 1.0, hi + 1.0)  # j + 1
-        np.divide(steps + 1.0 - ratio, ratio, out=ratio)
-        np.log(ratio, out=ratio)
-        ratio += log_odds
-        below = ratio[: mode - lo]
-        np.negative(below, out=below)
-        up = np.cumsum(ratio[mode - lo :])
-        down = np.cumsum(below[::-1])
-        del ratio, below  # freed before the concatenation below
-        if (hi == steps or up[-1] < -_LOG_UNDERFLOW) and (lo == 0 or down[-1] < -_LOG_UNDERFLOW):
-            break
-        width *= 2
-    logw = np.concatenate((down[::-1], [0.0], up))
-    # the log-weight is concave: its ends are its least, and the ones above
-    # the cut are contiguous
-    if min(logw[0], logw[-1]) < -_LOG_UNDERFLOW:
-        kept = np.flatnonzero(logw >= -_LOG_UNDERFLOW)
-        lo += int(kept[0])
-        logw = logw[kept[0] : kept[-1] + 1]
+    mean = steps * q
+    reach = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * mean * (1 - q))
+    lo = max(min(math.floor(mean - reach), mode), 0)
+    hi = min(max(math.ceil(mean + reach), mode), steps)
+    ratio = np.arange(lo + 1.0, hi + 1.0)  # j + 1
+    np.divide(steps + 1.0 - ratio, ratio, out=ratio)
+    np.log(ratio, out=ratio)
+    ratio += math.log(q) - math.log1p(-q)
+    below = ratio[: mode - lo]
+    np.negative(below, out=below)
+    logw = np.concatenate((np.cumsum(below[::-1])[::-1], [0.0], np.cumsum(ratio[mode - lo :])))
     return lo, np.exp(logw, out=logw)
 
 
@@ -156,37 +154,26 @@ def _central(moves: np.ndarray) -> np.ndarray:
     return central
 
 
-def _negligible_beyond(half: int) -> int:
-    """An offset J past which the terms C(M, h + j) / 2^M, j > J, of any
-    M <= 2 half + 1 sum to less than 2^-55 on both sides of the centre.
-
-    With h = M // 2, C(M, h + j) / C(M, h) <= exp(-(j^2 - j) / (h + j)),
-    which falls with j, and at most h + 1 terms lie on each side; J solves
-    (J^2 - J) / (h + J) = L with L = log(2 (h + 1) 2^55).
-    """
-    log_bound = 55.0 * math.log(2.0) + math.log(2.0 * (half + 1))
-    root = math.sqrt((1.0 + log_bound) ** 2 + 4.0 * log_bound * half)
-    return math.ceil((1.0 + log_bound + root) / 2.0)
-
-
 def survival_exact(m: int, steps: int, q: float) -> float:
     """P[walk from m stays positive for ``steps`` steps], by reflection.
 
     The free walk from 0 makes M ~ Bin(steps, q) moves and then sits at
     2 Bin(M, 1/2) - M; the result is its mass inside [-m+1, m], summed
-    over the move counts whose binomial weight is not zero in double
-    precision.  For each M the window mass is the central term
-    C(M, h) / 2^M, h = M // 2, times the sum of C(M, h + j) / C(M, h) over
-    the offsets j the window holds, each a running product of
-    C(M, b + 1) / C(M, b) = (M - b) / (b + 1).  The cost is O(m sqrt(steps q))
-    and the memory O(m + sqrt(steps q)); a window so wide that it holds
-    all but 2^-55 of every mass gives 1 at once.
+    over the Bernstein window of move counts of :func:`_binomial_weights`,
+    which moves it by at most 2^-64.  For each M the window mass is the
+    central term C(M, h) / 2^M, h = M // 2, times the sum of
+    C(M, h + j) / C(M, h) over the offsets j the window holds, each a
+    running product of C(M, b + 1) / C(M, b) = (M - b) / (b + 1).  The
+    cost is O(m sqrt(steps q)) and the memory O(m + sqrt(steps q)).  By
+    Hoeffding's inequality the window misses at most 2 exp(-m^2 / (2 M))
+    of Bin(M, 1/2), so m^2 > 112 log(2) M for the largest M of the
+    Bernstein window makes every miss less than 2^-55, and gives 1 at once.
     """
     _validate(m, steps, q)
     lo, weights = _binomial_weights(steps, q)
     hi = lo + weights.size
-    if (m - 1) // 2 >= _negligible_beyond((hi - 1) // 2):
-        # every window holds all but 2^-55 of its mass, which rounds to 1
+    if m * m > 112.0 * math.log(2.0) * (hi - 1):
+        # every window misses less than 2^-55 of its mass: 1 - 2^-55 rounds to 1
         return 1.0
     width = (m + 1) // 2
     offsets = np.arange(1, width + 1)
@@ -328,21 +315,8 @@ def gaussian_limit(alpha: float, beta: float) -> float:
     """Diffusive limit of the survival probability: P[|N(0,1)| <= alpha/sqrt(beta)].
 
     This is the limit of :func:`survival_exact` with start ~ alpha * s and
-    steps ~ beta * s^2/q as the scale s grows.  The value never exceeds
-    the convenient majorant alpha/sqrt(beta) (density of N at most
-    1/sqrt(2 pi) < 1/2).
+    steps ~ beta * s^2/q as the scale s grows.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    value = math.erf(alpha / math.sqrt(2.0 * beta))
-    majorant = diffusion_majorant(alpha, beta)
-    if value > majorant + 1e-12:
-        raise AssertionError("gaussian limit exceeded its closed-form majorant")
-    return value
-
-
-def diffusion_majorant(alpha: float, beta: float) -> float:
-    """The elementary cap alpha/sqrt(beta) on :func:`gaussian_limit`."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    return alpha / math.sqrt(beta)
+    return math.erf(alpha / math.sqrt(2.0 * beta))

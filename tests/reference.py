@@ -3,12 +3,12 @@
 Each one derives a quantity the package samples by a route that shares
 no sampling code with it: an exact linear solve for the mean merge
 time, the pure-death chain for the law of the collection time, the
-per-jump walk for the law of the blocked hitting sampler, and that walk
-run next to the coupled pair from the same uniforms as its dominating
-walk.  Two more keep scipy routes to exact quantities: the walk's
-survival through the regularized incomplete beta function, and the
-swap chain's one-step matrix as a ``scipy.sparse`` matrix with the law
-stepped by sparse products.
+per-jump walk for the law of the blocked hitting sampler, the per-jump
+pair for the merge sampler's run, and that walk run next to the pair
+from the same uniforms as its dominating walk.  Two more keep scipy
+routes to exact quantities: the walk's survival through the regularized
+incomplete beta function, and the swap chain's one-step matrix as a
+``scipy.sparse`` matrix with the law stepped by sparse products.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.special import betainc
 
 from mixlab import exclusion
 from mixlab.bounds import CollectorSpec
-from mixlab.coupling import CoupledKernel, _geometric_from_uniform, _pair_process
+from mixlab.coupling import _PAIR_MOVES, CoupledKernel, _geometric_from_uniform
 from mixlab.walk import _check_batch, _validate
 
 #: Largest number of transient pair states the exact linear-system solver
@@ -56,13 +56,35 @@ def expected_merge_time_exact(kernel: CoupledKernel, x: int, y: int) -> float:
     return float(hitting[index[(x, y)]])
 
 
+def _pair_process(kernel: CoupledKernel, x: int, y: int, replicas: int) -> tuple:
+    """The pair from (x, y) as a jump-chain process, absorbed on the diagonal.
+
+    From an off-diagonal state (i, j) a jump makes one of the four moves
+    split by :meth:`CoupledKernel.skeleton_thresholds`, after a geometric
+    hold with success probability q(i, j).  This is the per-jump pair
+    that :func:`dominated_pair_samples` runs, and the reference run of
+    :func:`mixlab.coupling.merge_time_samples`.
+    """
+    if not (0 <= y <= x <= kernel.params.k):
+        raise ValueError(f"start must satisfy 0 <= y <= x <= k, got ({x}, {y})")
+
+    def jump(state, u_move, u_clock):
+        a, b, c, q = kernel.skeleton_thresholds(state[0], state[1])
+        move = (u_move >= a).astype(np.int8) + (u_move >= b) + (u_move >= c)
+        with np.errstate(divide="ignore"):
+            log1m_q = np.log1p(-q)  # -inf when q == 1 (single forced move)
+        return state + _PAIR_MOVES[:, move], _geometric_from_uniform(u_clock, log1m_q)
+
+    state = np.repeat(np.array([[x], [y]], dtype=np.int64), replicas, axis=1)
+    return state, jump, lambda pair: pair[0] == pair[1]
+
+
 def _side_by_side(processes: list, t_cap: int, rng: np.random.Generator) -> list:
     """Run processes side by side through their jump chains on shared uniforms.
 
-    The multi-process form of :func:`mixlab.coupling._jump_chain`, kept
-    here for :func:`dominated_pair_samples`; run with one process it
-    draws the same uniforms and returns the same samples as the package
-    engine.
+    Kept for :func:`dominated_pair_samples`; run with the pair alone it
+    draws the same uniforms and returns the same samples as
+    :func:`mixlab.coupling.merge_time_samples`.
 
     Each process is a triple (state, jump, absorbed): ``state`` is an int
     array of shape (dims, replicas) holding the start, with the same

@@ -8,23 +8,16 @@ import pytest
 from scipy import integrate, stats
 
 from mixlab import ModelParams, replica_stream, walk
-from mixlab.coupling import (
-    _geometric_from_uniform,
-    _jump_chain,
-    _pair_process,
-    build_coupled_kernel,
-    merge_time_samples,
-)
+from mixlab.coupling import _geometric_from_uniform, build_coupled_kernel, merge_time_samples
 from mixlab.walk import (
     WalkParams,
-    diffusion_majorant,
     gaussian_limit,
     hitting_time_samples,
     survival_bruteforce,
     survival_exact,
     tail_estimate,
 )
-from reference import _side_by_side, _walk_process, survival_betainc
+from reference import _pair_process, _side_by_side, _walk_process, survival_betainc
 
 
 def test_survival_frozen_examples():
@@ -78,10 +71,16 @@ def test_exact_across_the_edge_of_the_central_table():
         )
 
 
-def test_exact_keeps_only_the_weights_above_underflow(monkeypatch):
-    """At a million steps the move counts are built outward from the mode
-    and stop where exp underflows: well under 0.5 MB, and the value of a
-    run over every move count."""
+@pytest.mark.parametrize("m,steps,q", [(5000, 10**6, 0.25), (300, 10**4, 0.5), (1000, 10**6, 0.5)])
+def test_exact_matches_the_betainc_reference_at_wide_windows(m, steps, q):
+    """Many move counts with a wide window each: the Bernstein cut of the
+    weights, and at (5000, 10^6, 0.25) the Hoeffding shortcut."""
+    assert survival_exact(m, steps, q) == pytest.approx(survival_betainc(m, steps, q), abs=1e-14)
+
+
+def test_exact_keeps_only_the_weights_inside_the_bernstein_window(monkeypatch):
+    """At a million steps only the move counts of the Bernstein window are
+    built: well under 0.5 MB, and the value of a run over every move count."""
     tracemalloc.start()
     try:
         cut = survival_exact(50, 10**6, 0.04)
@@ -89,17 +88,45 @@ def test_exact_keeps_only_the_weights_above_underflow(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 500_000
-    monkeypatch.setattr(walk, "_LOG_UNDERFLOW", math.inf)
+    monkeypatch.setattr(walk, "_TAIL_LOG", 1e9)  # a window wider than 0..steps
+    lo, weights = walk._binomial_weights(10**6, 0.04)
+    assert lo == 0 and weights.size == 10**6 + 1
     assert cut == pytest.approx(survival_exact(50, 10**6, 0.04), abs=1e-15)
 
 
-def test_exact_across_the_full_window_shortcut():
+def test_exact_across_the_full_window_shortcut(monkeypatch):
     """A window that holds every term of note gives 1 without a pass over it."""
-    for m in range(560, 640, 9):  # survival 1 is returned from m = 593 on
+    passes, central = [], walk._central
+
+    def counted(moves):
+        passes.append(moves)
+        return central(moves)
+
+    monkeypatch.setattr(walk, "_central", counted)
+    shortcut = []
+    for m in range(380, 470, 9):  # the shortcut returns 1 from m = 425 on
+        before = len(passes)
         assert survival_exact(m, 4000, 0.5) == pytest.approx(
             survival_betainc(m, 4000, 0.5), abs=1e-14
         )
+        shortcut.append(len(passes) == before)
+    assert any(shortcut) and not all(shortcut)
     assert survival_exact(10**12, 10**6, 0.5) == 1.0
+
+
+@pytest.mark.parametrize("q", [5e-324, 1e-300, 1e-19, 1e-9, 1.0 - 2.0**-53, 0.999999])
+def test_exact_at_extreme_move_probabilities(q):
+    """Log-odds near +-745 and 37, and a window at 0 or at steps: no
+    overflow or underflow warning, and the values of independent routes.
+    The betainc route loses digits to cancellation next to 1 at small q
+    (1.4e-11 at (1, 10^6, 1e-9)), hence its looser tolerance."""
+    for m in (1, 2, 50):
+        brute = survival_bruteforce(m, 1000, q)
+        for steps in (0, 1, 7, 1000):
+            assert survival_exact(m, steps, q) == pytest.approx(brute[steps], abs=1e-13)
+        assert survival_exact(m, 10**6, q) == pytest.approx(
+            survival_betainc(m, 10**6, q), abs=1e-10
+        )
 
 
 def test_survival_monotonicity():
@@ -195,7 +222,7 @@ def test_gaussian_limit_shape():
     assert all(x > y for x, y in zip(in_beta, in_beta[1:]))
     for alpha in grid:
         for beta in grid:
-            assert gaussian_limit(alpha, beta) <= diffusion_majorant(alpha, beta) + 1e-12
+            assert gaussian_limit(alpha, beta) <= alpha / math.sqrt(beta) + 1e-12
 
 
 def test_survival_approaches_gaussian_limit():
@@ -216,7 +243,7 @@ def _assert_same_run(got, ref, got_rng, ref_rng):
 
 @pytest.mark.parametrize("x,y,t_cap", [(5, 0, 300), (4, 1, 25), (5, 0, 0), (3, 3, 40)])
 def test_merge_sampler_equals_reference_driver(x, y, t_cap):
-    """The one-process engine is the side-by-side driver run with one process."""
+    """The inline loop is the side-by-side driver run with the per-jump pair alone."""
     kernel = build_coupled_kernel(ModelParams(20, 5))
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = merge_time_samples(kernel, x, y, t_cap, 500, rng)
@@ -293,22 +320,11 @@ def test_hitting_sampler_memory_stays_within_its_blocks():
 
 
 @pytest.mark.parametrize("t_cap", [0, 30])
-def test_engine_equals_reference_driver_with_replicas_absorbed_at_start(t_cap):
-    """Replicas that start absorbed draw nothing, in the engine and the reference."""
+def test_merge_from_the_diagonal_draws_nothing(t_cap):
+    """A pair that starts merged has tau = 0 in every replica, and no uniform is drawn."""
     kernel = build_coupled_kernel(ModelParams(20, 5))
-
-    def pair():
-        state, jump, met = _pair_process(kernel, 5, 0, 300)
-        state[:, ::3] = 2  # every third replica starts on the diagonal
-        return state, jump, met
-
-    def walk():
-        return _walk_process(np.arange(300, dtype=np.int64) % 4, 0.4)
-
-    for make in (pair, walk):
-        engine, reference = make(), make()
-        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        times, hit = _jump_chain(engine, t_cap, rng)
-        [ref] = _side_by_side([reference], t_cap, ref_rng)
-        assert hit.sum() >= 75 and (times[hit] == 0).sum() >= 75
-        _assert_same_run((times, hit, engine[0]), (*ref, reference[0]), rng, ref_rng)
+    rng = np.random.default_rng(7)
+    got = merge_time_samples(kernel, 2, 2, t_cap, 300, rng)
+    assert got.merged.all() and (got.tau == 0).all()
+    assert (got.w1 == 2).all() and (got.w2 == 2).all()
+    assert rng.random() == np.random.default_rng(7).random()
