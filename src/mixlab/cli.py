@@ -6,10 +6,11 @@
 Subcommands mirror the experiment kinds: tv-curve, sweep, coupling,
 bounds, hitting, oracle-check.  The config file is a JSON object; the
 optional flags override the matching config keys.  Exit status: 0 on
-success, 1 for an invalid or unreadable config (every problem is listed
-on stderr), an infeasible run, such as a threshold not reached within
-the horizon or arrays too large to allocate, or an output path that
-cannot be written, 2 when oracle-check finds a violated identity.
+success; 1 for an invalid or unreadable config (every problem is listed
+on stderr), for an infeasible run (a threshold not reached within the
+horizon, a sweep threshold that only stepping beyond the state-step cap
+could decide, or arrays too large to allocate) or for an output path
+that cannot be written; 2 when oracle-check finds a violated identity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import KINDS, ConfigError, load_config, parse_config
+from .config import COMMON, KINDS, ConfigError, load_config, parse_config
 from .experiments import OracleFailure, run_experiment
 from .records import write_record
 
@@ -53,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
                 [f"config kind {file_kind!r} does not match subcommand {args.kind!r}"]
             )
         raw["kind"] = args.kind
-        for key in ("seed", "out", "format", "threads"):
+        for key in COMMON:  # each common key has a flag of its name
             value = getattr(args, key)
             if value is not None:
                 raw[key] = value

@@ -2,8 +2,9 @@
 
 Configs are flat JSON objects.  One table, :data:`SCHEMA`, names each
 kind's keys with their check and default (:data:`COMMON` holds the keys
-every kind takes); ``parse_config`` walks it and then applies the
-cross-field rules.  Every problem in a config is reported in one shot
+every kind takes); :class:`ExperimentConfig` has one field per key of
+it, and ``parse_config`` walks it and then applies the cross-field
+rules.  Every problem in a config is reported in one shot
 (unknown keys, missing keys, out-of-range values), so a user fixes the
 file once rather than replaying the parser.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
 from typing import Any, Callable
 
 K_RULE_KINDS = ("fraction", "power", "sqrt_multiple")
@@ -169,38 +170,24 @@ SCHEMA: dict[str, dict[str, tuple[Check, Any]]] = {
 KINDS = tuple(SCHEMA)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description.  Every key of the config's kind
-    and of :data:`COMMON` is filled in; fields of other kinds are None."""
+# One field per key of the table, in table order; keys that several kinds
+# share (n, k, eps, ...) appear once.
+_KEYS = dict.fromkeys(key for table in (COMMON, *SCHEMA.values()) for key in table)
 
-    kind: str
-    seed: int | None = None
-    format: str | None = None
-    out: str | None = None
-    threads: int | None = None
-    n: int | None = None
-    k: int | None = None
-    t_max: int | None = None
-    stride: int | None = None
-    eps: tuple[float, ...] | None = None
-    n_grid: tuple[int, ...] | None = None
-    k_rule: tuple[str, float] | None = None
-    t_values: tuple[int, ...] | None = None
-    replicas: int | None = None
-    x: int | None = None
-    y: int | None = None
-    threshold: int | None = None
-    m: int | None = None
-    q: float | None = None
-    steps_values: tuple[int, ...] | None = None
-    n_max: int | None = None
-    walk_m_max: int | None = None
-    walk_steps_max: int | None = None
-    walk_q: tuple[float, ...] | None = None
-    pair_n_max: int | None = None
-    tol: float | None = None
-    normalized: dict = field(default_factory=dict, compare=False)
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [
+        ("kind", str),
+        *((key, Any, None) for key in _KEYS),
+        ("normalized", dict, field(default_factory=dict, compare=False)),
+    ],
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": """Validated experiment description.  Every key of the config's kind
+    and of :data:`COMMON` is filled in; fields of other kinds are None.""",
+    },
+)
 
 
 def parse_config(raw: dict[str, Any]) -> ExperimentConfig:

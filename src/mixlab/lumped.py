@@ -63,7 +63,8 @@ _TV_WOBBLE = 1e-12
 #: d_curve refuses a curve that takes more state-steps, t_max (k + 1), or
 #: holds more rows, t_max // stride + 1, than these: at about a
 #: nanosecond per state-step and some 150 bytes per row once the record
-#: is built, that is minutes of stepping or about 600 MB.
+#: is built, that is minutes of stepping or about 600 MB.  mixing_times
+#: refuses to step on to its horizon beyond the same state-step cap.
 _CURVE_STATE_STEPS = 10**11
 _CURVE_ROWS = 1 << 22
 
@@ -662,8 +663,10 @@ def mixing_times(params: ModelParams, eps_values: tuple[float, ...] | list[float
     eps by more than the expansion's certified error.  Where they do not,
     exact stepping resumes and decides that eps, and the smaller ones are
     bisected from there.  Every time is thus the stepper's own.  Raises
-    if a stepped d(t) rises beyond float wobble or a threshold is not
-    reached by the proven horizon (:func:`default_horizon`).
+    if a stepped d(t) rises beyond float wobble, if a threshold is not
+    reached by the proven horizon (:func:`default_horizon`), or, before
+    stepping, if stepping on from t to the horizon would take more than
+    ``_CURVE_STATE_STEPS`` state-steps (horizon - t)(k + 1).
     """
     eps_list = sorted(set(float(e) for e in eps_values), reverse=True)
     if not eps_list:
@@ -690,6 +693,12 @@ def mixing_times(params: ModelParams, eps_values: tuple[float, ...] | list[float
                 spectrum = _Spectrum(params, pi)
             found = spectrum.crossing(eps_list[0], t, horizon)
             if found is None:
+                if (horizon - t) * (params.k + 1) > _CURVE_STATE_STEPS:
+                    raise RuntimeError(
+                        f"eps={eps_list[0]} is not decided by the eigen-expansion from t={t}, "
+                        f"and stepping on to the horizon {horizon} would take more than "
+                        f"{_CURVE_STATE_STEPS} state-steps"
+                    )
                 stepped = eps_list[0]
             elif found > horizon:
                 break

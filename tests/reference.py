@@ -8,11 +8,14 @@ pair for the merge sampler's run, and that walk run next to the pair
 from the same uniforms as its dominating walk.  Two more keep scipy
 routes to exact quantities: the walk's survival through the regularized
 incomplete beta function, and the swap chain's one-step matrix as a
-``scipy.sparse`` matrix with the law stepped by sparse products.
+``scipy.sparse`` matrix with the law stepped by sparse products.  The
+walk's survival at small move probabilities, where the beta-function
+route cancels, is also summed in 50-digit decimals.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -254,6 +257,34 @@ def survival_betainc(m: int, steps: int, q: float) -> float:
     moves = np.flatnonzero(weights)
     inside = _binom_cdf((moves + m) // 2, moves, 0.5) - _binom_cdf((moves - m) // 2, moves, 0.5)
     return float(weights[moves] @ inside)
+
+
+def survival_decimal(m: int, steps: int, q: float) -> float:
+    """:func:`mixlab.walk.survival_exact` summed in 50-digit decimals.
+
+    The sum over move counts M of C(steps, M) q^M (1 - q)^(steps - M)
+    times the window mass sum_j C(M, j) / 2^M over 2j - M in [-m+1, m],
+    with the float q taken exactly and each window mass an exact integer
+    sum.  It runs up from M = 0 and stops past the mean steps q at the
+    first weight below 1e-40; past the mean each weight is a falling
+    ratio below 1 times the one before, so what is left is far below
+    double precision.  It takes more than steps q terms, so it is meant
+    for small steps q.
+    """
+    _validate(m, steps, q)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        q_exact = decimal.Decimal(q)
+        odds = q_exact / (1 - q_exact)
+        weight = (1 - q_exact) ** steps
+        total = decimal.Decimal(0)
+        for moves in range(steps + 1):
+            window = range(max(0, (moves - m + 2) // 2), min(moves, (moves + m) // 2) + 1)
+            total += weight * sum(math.comb(moves, j) for j in window) / 2**moves
+            if moves > steps * q and weight < decimal.Decimal("1e-40"):
+                break
+            weight *= odds * (steps - moves) / (moves + 1)
+        return float(total)
 
 
 def transition_csr(params, mode: str) -> tuple[list, sparse.csr_matrix]:

@@ -478,8 +478,8 @@ def test_14_cli_determinism(tmp_path):
         fmt = "json" if kind == "hitting" else "csv"
         args = [sys.executable, "-m", "mixlab", kind, "--config", str(path),
                 "--seed", "7", "--format", fmt]
-        first = subprocess.run(args, capture_output=True, text=True)
-        second = subprocess.run(args, capture_output=True, text=True)
+        first = subprocess.run(args, capture_output=True, text=True, timeout=60)
+        second = subprocess.run(args, capture_output=True, text=True, timeout=60)
         if first.returncode != 0 or second.returncode != 0:
             mismatched.append(f"{kind}: exit {first.returncode}/{second.returncode}")
         elif first.stdout != second.stdout:

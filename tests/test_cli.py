@@ -21,6 +21,7 @@ def _run_cli(args, cwd):
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=120,
     )
 
 
@@ -200,7 +201,7 @@ def test_cli_loads_no_scipy(tmp_path):
         "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            cwd=tmp_path)
+                            cwd=tmp_path, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
     assert all((tmp_path / f"{kind}.csv").stat().st_size > 0 for kind in configs)
@@ -326,6 +327,23 @@ def test_cli_sweep_reaches_a_million_sites(tmp_path):
     assert [row["n"] for row in rows] == [10**4, 10**5, 10**6]
     assert (rows[0]["t_enter"], rows[0]["t_mix"]) == (16982, 29920)
     assert all(1.2 <= row["window_over_n"] <= 1.4 for row in rows)
+
+
+def test_cli_sweep_refuses_a_threshold_beyond_the_stepping_cap(tmp_path):
+    """At n = 10^6, k = 2*10^5 the expansion cannot decide eps 0.2, and
+    stepping on to the horizon is beyond the state-step cap: exit 1 with
+    one line, in seconds."""
+    cfg = _write_config(tmp_path, "c.json", {
+        "kind": "sweep", "n_grid": [10**4, 10**5, 10**6],
+        "k_rule": {"kind": "fraction", "value": 0.2}, "eps": [0.2],
+    })
+    start = time.monotonic()
+    result = _run_cli(["sweep", "--config", cfg], tmp_path)
+    assert time.monotonic() - start < 10.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: eps=0.2 is not decided by the eigen-expansion ")
+    assert "the horizon" in result.stderr and result.stderr.count("\n") == 1
 
 
 def test_tv_curve_warning_when_eps_unreachable():

@@ -79,6 +79,20 @@ def test_parse_minimal_configs(kind):
             assert getattr(config, f.name) is None, f.name
 
 
+def test_config_fields_are_the_table_keys():
+    """ExperimentConfig has kind, one field per key of the table, and the
+    normalized form, which equality ignores."""
+    fields = dataclasses.fields(ExperimentConfig)
+    names = [f.name for f in fields]
+    keys = {"kind", "normalized", *COMMON, *(key for table in SCHEMA.values() for key in table)}
+    assert names[0] == "kind" and names[-1] == "normalized"
+    assert len(names) == len(keys) and set(names) == keys
+    assert [f.name for f in fields if not f.compare] == ["normalized"]
+    assert ExperimentConfig.__module__ == "mixlab.config"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        parse_config(dict(MINIMAL["hitting"])).seed = 1
+
+
 # For each kind, a config that trips one check of every key it sets, and
 # every cross-field rule the kind has, with the exact problem strings.
 EVERY_PROBLEM = {

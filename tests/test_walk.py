@@ -17,7 +17,13 @@ from mixlab.walk import (
     survival_exact,
     tail_estimate,
 )
-from reference import _pair_process, _side_by_side, _walk_process, survival_betainc
+from reference import (
+    _pair_process,
+    _side_by_side,
+    _walk_process,
+    survival_betainc,
+    survival_decimal,
+)
 
 
 def test_survival_frozen_examples():
@@ -118,15 +124,22 @@ def test_exact_across_the_full_window_shortcut(monkeypatch):
 def test_exact_at_extreme_move_probabilities(q):
     """Log-odds near +-745 and 37, and a window at 0 or at steps: no
     overflow or underflow warning, and the values of independent routes.
-    The betainc route loses digits to cancellation next to 1 at small q
-    (1.4e-11 at (1, 10^6, 1e-9)), hence its looser tolerance."""
+    At 10^6 steps the small q are held to the decimal sum, because the
+    betainc route loses digits to cancellation next to 1 there (1.4e-11
+    at (1, 10^6, 1e-9)); next to q = 1 it keeps them."""
+    reference = survival_decimal if q <= 1e-9 else survival_betainc
     for m in (1, 2, 50):
         brute = survival_bruteforce(m, 1000, q)
         for steps in (0, 1, 7, 1000):
             assert survival_exact(m, steps, q) == pytest.approx(brute[steps], abs=1e-13)
-        assert survival_exact(m, 10**6, q) == pytest.approx(
-            survival_betainc(m, 10**6, q), abs=1e-10
-        )
+        assert survival_exact(m, 10**6, q) == pytest.approx(reference(m, 10**6, q), abs=1e-14)
+
+
+@pytest.mark.parametrize("m,steps,q", [(5, 10**6, 1e-4), (3, 300, 0.3), (20, 300, 0.01)])
+def test_exact_matches_the_decimal_reference(m, steps, q):
+    """Where betainc is 2e-14 off, and at two points where the decimal sum
+    runs over many move counts, it agrees with survival_exact to 1e-15."""
+    assert survival_exact(m, steps, q) == pytest.approx(survival_decimal(m, steps, q), abs=1e-15)
 
 
 def test_survival_monotonicity():
