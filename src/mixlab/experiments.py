@@ -9,7 +9,9 @@ reproducible regardless of execution order or thread count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
@@ -56,6 +58,32 @@ def center_small_k(n: int, k: int) -> float:
     return 0.5 * n * math.log(k)
 
 
+class _CurveRows(Sequence):
+    """The rows (t, d(t), warning) of a tv-curve record, built from the
+    profile's arrays only when indexed, so that a long curve never holds
+    a tuple per step.  Only the last row carries the warning."""
+
+    def __init__(self, profile: lumped.MixingProfile, warning: str):
+        self._times = profile.times
+        self._tv = profile.tv
+        self._warning = warning
+
+    def __len__(self) -> int:
+        return self._times.size
+
+    def __getitem__(self, index):
+        last = len(self) - 1
+        if isinstance(index, slice):
+            positions = range(len(self))[index]
+            rows = list(zip(self._times[index].tolist(), self._tv[index].tolist(), repeat("")))
+            if last in positions:
+                at = positions.index(last)
+                rows[at] = rows[at][:2] + (self._warning,)
+            return rows
+        i = range(len(self))[index]
+        return (self._times[i].item(), self._tv[i].item(), self._warning if i == last else "")
+
+
 def run_tv_curve(config: ExperimentConfig) -> ResultRecord:
     params = exclusion.ModelParams(config.n, config.k)
     profile = lumped.d_curve(params, config.t_max, config.stride)
@@ -75,9 +103,7 @@ def run_tv_curve(config: ExperimentConfig) -> ResultRecord:
         if t is None:
             unreached.append(eps)
     warning = "eps_not_reached" if unreached else ""
-    rows = [(t, d, "") for t, d in zip(profile.times.tolist(), profile.tv.tolist())]
-    rows[-1] = rows[-1][:2] + (warning,)
-    return ResultRecord("tv-curve", meta, ["t", "d", "warning"], rows)
+    return ResultRecord("tv-curve", meta, ["t", "d", "warning"], _CurveRows(profile, warning))
 
 
 def _sweep_point(config: ExperimentConfig, n: int) -> list[tuple]:

@@ -62,9 +62,11 @@ _TV_WOBBLE = 1e-12
 
 #: d_curve refuses a curve that takes more state-steps, t_max (k + 1), or
 #: holds more rows, t_max // stride + 1, than these: at about a
-#: nanosecond per state-step and some 150 bytes per row once the record
-#: is built, that is minutes of stepping or about 600 MB.  mixing_times
-#: refuses to step on to its horizon beyond the same state-step cap.
+#: nanosecond per state-step, and 16 bytes per row in the profile plus
+#: the row's text (about 30 bytes in csv, 65 in json), that is minutes of
+#: stepping or about 70 MB of arrays and 130 to 270 MB of text.
+#: mixing_times refuses to step on to its horizon beyond the same
+#: state-step cap.
 _CURVE_STATE_STEPS = 10**11
 _CURVE_ROWS = 1 << 22
 

@@ -6,6 +6,11 @@ significant digits (which round-trips doubles exactly), metadata keys
 are sorted, and nothing time- or host-dependent is ever emitted, so
 rerunning an experiment with the same config and seed reproduces the
 output byte for byte.
+
+The rows may be any sequence whose slices are lists of tuples, such as
+one that builds its rows from arrays on demand.  Both formats render
+them 1024 rows at a time, so no more row objects than that exist at
+once.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import csv
 import hashlib
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any
@@ -26,7 +32,7 @@ class ResultRecord:
     experiment: str
     meta: dict[str, Any] = field(default_factory=dict)
     columns: list[str] = field(default_factory=list)
-    rows: list[tuple] = field(default_factory=list)
+    rows: Sequence[tuple] = field(default_factory=list)
 
 
 def config_hash(normalized: dict) -> str:
@@ -50,8 +56,12 @@ def format_cell(value: Any) -> str:
 #: exactly these types (bool and None take the per-cell path).
 _CONVERSIONS = {float: "%.17g", int: "%d", str: "%s"}
 
-#: Rows formatted per template call; bounds the row strings held at once.
+#: Rows rendered at a time; bounds the row objects and strings held at once.
 _CHUNK_ROWS = 1024
+
+#: Characters handed to a text stream per write, so that it never
+#: encodes a second copy of the whole text.
+_WRITE_CHARS = 1 << 16
 
 
 def _printf_rows(rows: list[tuple], width: int) -> str | None:
@@ -100,13 +110,26 @@ def to_csv_text(record: ResultRecord) -> str:
 
 
 def to_json_text(record: ResultRecord) -> str:
-    payload = {
-        "experiment": record.experiment,
-        "meta": record.meta,
-        "columns": record.columns,
-        "rows": [list(row) for row in record.rows],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The record as the text of ``json.dumps(payload, sort_keys=True,
+    indent=2)`` plus a newline, with the rows dumped a chunk at a time.
+
+    "rows" sorts last among the payload's keys, so the text is the rest
+    of the payload with the rows' array appended before its closing
+    brace; each chunk's array loses its brackets and is indented one
+    level deeper (a JSON string holds no raw line break).
+    """
+    head = json.dumps(
+        {"experiment": record.experiment, "meta": record.meta, "columns": record.columns},
+        sort_keys=True,
+        indent=2,
+    )
+    parts = [head[:-2], ',\n  "rows": [']
+    for start in range(0, len(record.rows), _CHUNK_ROWS):
+        chunk = [list(row) for row in record.rows[start : start + _CHUNK_ROWS]]
+        text = json.dumps(chunk, sort_keys=True, indent=2)
+        parts += ("," if start else "", text[1:-2].replace("\n", "\n  "))
+    parts.append("\n  ]\n}\n" if record.rows else "]\n}\n")
+    return "".join(parts)
 
 
 def render(record: ResultRecord, fmt: str) -> str:
@@ -118,12 +141,18 @@ def render(record: ResultRecord, fmt: str) -> str:
 
 
 def write_record(record: ResultRecord, out: str | None, fmt: str) -> None:
-    """Write to a file, or stdout when no path is given."""
+    """Write to a file, or stdout when no path is given, in slices of
+    ``_WRITE_CHARS`` characters."""
     text = render(record, fmt)
     if out is None:
         import sys
 
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_slices(fh, text)
+
+
+def _write_slices(stream, text: str) -> None:
+    for start in range(0, len(text), _WRITE_CHARS):
+        stream.write(text[start : start + _WRITE_CHARS])

@@ -10,13 +10,19 @@ routes to exact quantities: the walk's survival through the regularized
 incomplete beta function, and the swap chain's one-step matrix as a
 ``scipy.sparse`` matrix with the law stepped by sparse products.  The
 walk's survival at small move probabilities, where the beta-function
-route cancels, is also summed in 50-digit decimals.
+route cancels, is also summed in 50-digit decimals.  Last, a record's
+csv and json texts are written whole, cell by cell through
+``csv.writer`` and in one ``json.dumps``, and a tv-curve record's rows
+are built as one list.
 """
 
 from __future__ import annotations
 
+import csv
 import decimal
 import functools
+import io
+import json
 import math
 from dataclasses import dataclass
 
@@ -27,6 +33,8 @@ from scipy.special import betainc
 from mixlab import exclusion
 from mixlab.bounds import CollectorSpec
 from mixlab.coupling import _PAIR_MOVES, CoupledKernel, _geometric_from_uniform
+from mixlab.lumped import MixingProfile
+from mixlab.records import ResultRecord, format_cell
 from mixlab.walk import _check_batch, _validate
 
 #: Largest number of transient pair states the exact linear-system solver
@@ -313,3 +321,34 @@ def tv_curve_csr(params, mode: str, t_max: int) -> np.ndarray:
         if t < t_max:
             mu = step_t @ mu
     return curve
+
+
+def csv_reference(record: ResultRecord) -> str:
+    """The record's csv text cell by cell through csv.writer."""
+    buf = io.StringIO()
+    for key in sorted(record.meta):
+        buf.write(f"# {key}={format_cell(record.meta[key])}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(record.columns)
+    for row in record.rows:
+        writer.writerow([format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def json_reference(record: ResultRecord) -> str:
+    """The record's json text as one dump of the whole payload."""
+    payload = {
+        "experiment": record.experiment,
+        "meta": record.meta,
+        "columns": record.columns,
+        "rows": [list(row) for row in record.rows],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def tv_curve_rows(profile: MixingProfile, warning: str) -> list[tuple]:
+    """A tv-curve record's rows (t, d, warning) as one list, with the
+    warning on the last row only."""
+    rows = [(t, d, "") for t, d in zip(profile.times.tolist(), profile.tv.tolist())]
+    rows[-1] = rows[-1][:2] + (warning,)
+    return rows

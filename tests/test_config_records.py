@@ -1,7 +1,6 @@
 """Config validation, record serialization, and the seeded stream helper."""
 
 import contextlib
-import csv
 import dataclasses
 import io
 import json
@@ -24,7 +23,9 @@ from mixlab.config import (
     load_config,
     parse_config,
 )
-from mixlab.experiments import run_oracle_check
+from mixlab.exclusion import ModelParams
+from mixlab.experiments import run_experiment, run_oracle_check
+from mixlab.lumped import d_curve
 from mixlab.records import (
     ResultRecord,
     _printf_rows,
@@ -35,6 +36,7 @@ from mixlab.records import (
     to_json_text,
     write_record,
 )
+from reference import csv_reference, json_reference, tv_curve_rows
 
 
 def test_replica_stream_determinism():
@@ -402,18 +404,6 @@ def test_csv_layout():
     assert text.endswith("\n")
 
 
-def _csv_reference(record):
-    """The record's csv text cell by cell through csv.writer."""
-    buf = io.StringIO()
-    for key in sorted(record.meta):
-        buf.write(f"# {key}={format_cell(record.meta[key])}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(record.columns)
-    for row in record.rows:
-        writer.writerow([format_cell(v) for v in row])
-    return buf.getvalue()
-
-
 def test_csv_rows_match_the_cell_by_cell_writer():
     """Printf rows give csv.writer's bytes; a chunk with a cell of another
     type, or a str that needs quoting, falls back to csv.writer."""
@@ -430,13 +420,83 @@ def test_csv_rows_match_the_cell_by_cell_writer():
         rows[1024 * (2 + i) + 5] = (i, 0.5, value)  # one str to quote per chunk
     rows += [("n=2,k=1", 1e-16), ("", "")]
     record = ResultRecord("x", {"version": "1", "k": None}, ["a", "b", "c"], rows)
-    assert to_csv_text(record) == _csv_reference(record)
+    assert to_csv_text(record) == csv_reference(record)
     fallback = [_printf_rows(rows[start : start + 1024], 3) is None
                 for start in range(0, 1024 * (2 + len(quoted)), 1024)]
     assert fallback == [True, False] + [True] * len(quoted)
     for width, row in ((1, ("",)), (1, (0.25,)), (2, (1, 2.5)), (0, ())):
         one = ResultRecord("x", {}, ["c"] * width, [row, row])
-        assert to_csv_text(one) == _csv_reference(one)
+        assert to_csv_text(one) == csv_reference(one)
+
+
+def test_json_text_is_one_dump_of_the_payload():
+    """Rows dumped a chunk at a time give the bytes of one json.dumps."""
+    odd = [
+        -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.0 / 3.0, 2**70, -7, True, False, None,
+        "", 'say "x"', "two\nlines", "cr\r", "\u00e9", np.float64(0.1),
+    ]
+    rows = [(t, t / 7.0, "") for t in range(2049)]
+    for i, value in enumerate(odd):
+        rows[1023 + i] = (i, value, "")  # odd cells across a chunk boundary
+    for meta, body in (({}, []), ({"k": None}, [(1, 0.5)]), ({"b": 1, "a": "x"}, rows)):
+        record = ResultRecord("x", meta, ["a", "b", "c"], body)
+        assert to_json_text(record) == json_reference(record)
+    width_zero = ResultRecord("x", {}, [], [(), ()])
+    assert to_json_text(width_zero) == json_reference(width_zero)
+
+
+#: tv-curve configs whose eps is reached at t = 0, and never within 2048 steps.
+_REACHED = {"kind": "tv-curve", "n": 4, "k": 2, "eps": [0.9]}
+_UNREACHED = {"kind": "tv-curve", "n": 20000, "k": 283, "eps": [0.25]}
+
+
+def _tv_curve_record(payload, t_max):
+    """A tv-curve record from the runner and the same record with its rows
+    built as one list."""
+    config = parse_config(dict(payload, t_max=t_max))
+    record = run_experiment(config)
+    warning = "" if payload is _REACHED else "eps_not_reached"
+    profile = d_curve(ModelParams(config.n, config.k), t_max)
+    return record, dataclasses.replace(record, rows=tv_curve_rows(profile, warning))
+
+
+@pytest.mark.parametrize("payload", [_REACHED, _UNREACHED], ids=["reached", "unreached"])
+@pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2049])
+def test_tv_curve_record_renders_as_its_row_list(payload, rows):
+    record, eager = _tv_curve_record(payload, rows - 1)
+    assert to_csv_text(record) == csv_reference(eager)
+    assert to_json_text(record) == json_reference(eager)
+
+
+@pytest.mark.parametrize("payload", [_REACHED, _UNREACHED], ids=["reached", "unreached"])
+def test_tv_curve_rows_index_as_their_list(payload):
+    record, eager = _tv_curve_record(payload, 1100)
+    rows, expected = record.rows, eager.rows
+    assert len(rows) == len(expected) == 1101
+    assert list(rows) == expected
+    assert rows[-1] == expected[-1]
+    assert rows[-1][2] == ("" if payload is _REACHED else "eps_not_reached")
+    assert rows[0] == expected[0] and rows[-1101] == expected[0]
+    for index in (slice(None, -1), slice(None, None, -1), slice(1000, None, 7),
+                  slice(-3, None), slice(5, 3), slice(None)):
+        assert rows[index] == expected[index]
+    for index in (1101, -1102):
+        with pytest.raises(IndexError):
+            rows[index]
+
+
+def test_write_record_writes_long_text_whole(tmp_path, capsys):
+    """A text of several write slices reaches a file and stdout unchanged."""
+    rows = [(t, t / 3.0, "\u00e9" * (t % 5)) for t in range(12000)]
+    record = ResultRecord("x", {"n": 1}, ["t", "d", "s"], rows)
+    for fmt in ("csv", "json"):
+        text = render(record, fmt)
+        assert len(text) > 3 * 65536
+        path = tmp_path / f"out.{fmt}"
+        write_record(record, str(path), fmt)
+        assert path.read_bytes() == text.encode("utf-8")
+        write_record(record, None, fmt)
+        assert capsys.readouterr().out == text
 
 
 def test_readme_minimal_session_prints_its_comments():
@@ -464,6 +524,9 @@ def test_render_and_write(tmp_path, capsys):
     record = _sample_record()
     with pytest.raises(ValueError):
         render(record, "yaml")
+    with pytest.raises(ValueError, match="format must be 'csv' or 'json'"):
+        write_record(record, str(tmp_path / "out.yaml"), "yaml")
+    assert not (tmp_path / "out.yaml").exists()
     path = tmp_path / "out.csv"
     write_record(record, str(path), "csv")
     assert path.read_text(encoding="utf-8") == to_csv_text(record)
