@@ -148,10 +148,7 @@ SCHEMA: dict[str, dict[str, tuple[Check, Any]]] = {
         "n_grid": (_int_list(2, min_len=3), REQUIRED), "k_rule": (_k_rule, REQUIRED),
         "eps": (_eps, (0.1,)),
     },
-    "coupling": {
-        "n": _N, "k": _K, "t_values": (_int_list(0), REQUIRED), "replicas": _REPLICAS,
-        "x": (_int(0), None), "y": (_int(0), 0),
-    },
+    "coupling": {"n": _N, "k": _K, "t_values": (_int_list(0), REQUIRED), "replicas": _REPLICAS},
     "bounds": {
         "n": _N, "k": _K, "t_values": (_int_list(0), REQUIRED),
         "threshold": (_int(1), REQUIRED), "replicas": _REPLICAS,
@@ -244,12 +241,6 @@ def _cross_checks(values: dict[str, Any]) -> list[str]:
                 problems.append(
                     f"k rule gives k={k_point} for n={n_point}; k must satisfy 1 <= k <= n/2"
                 )
-    x, y = values.get("x"), values.get("y")
-    if x is not None and k is not None and x > k:
-        problems.append(f"'x' must be <= k={k}, got {x}")
-    start = x if x is not None else k
-    if y is not None and start is not None and y > start:
-        problems.append(f"need y <= x, got y={y} with start x={start}")
     threshold = values.get("threshold")
     if threshold is not None and k is not None and threshold >= k:
         problems.append(f"'threshold' must be below k={k}, got {threshold}")

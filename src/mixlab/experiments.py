@@ -137,20 +137,18 @@ def run_sweep(config: ExperimentConfig) -> ResultRecord:
 
 def run_coupling_experiment(config: ExperimentConfig) -> ResultRecord:
     params = exclusion.ModelParams(config.n, config.k)
-    x = config.x if config.x is not None else params.k
-    y = config.y
     pi = lumped.equilibrium(params)
     laws = lumped.laws_at(params, config.t_values)
     n, k = params.n, params.k
     q_walk = (k / n) ** 2
     meta = _base_meta(config)
-    meta.update(n=n, k=k, x=x, y=y, replicas=config.replicas)
+    meta.update(n=n, k=k, replicas=config.replicas)
     meta["center_large_k"] = center_large_k(n)
     estimates = coupling_mod.coupling_tv_upper_bound(
-        params, config.t_values, config.replicas, replica_stream(config.seed, 0), x=x, y=y
+        params, config.t_values, config.replicas, replica_stream(config.seed, 0)
     )
     rows = []
-    for t, est in zip(config.t_values, estimates):
+    for t, (estimate, stderr) in zip(config.t_values, estimates):
         alpha = (t - center_large_k(n)) / n - 1.0
         first_moment = math.exp(-alpha)
         walk_start = max(1, math.ceil(k * first_moment / math.sqrt(n)))
@@ -160,8 +158,8 @@ def run_coupling_experiment(config: ExperimentConfig) -> ResultRecord:
                 t,
                 alpha,
                 lumped.tv_distance(laws[t], pi),
-                est.estimate,
-                est.stderr,
+                estimate,
+                stderr,
                 walk_start,
                 walk_survival,
                 first_moment,

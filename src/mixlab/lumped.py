@@ -61,12 +61,16 @@ _TINY = float(np.finfo(float).tiny)
 _TV_WOBBLE = 1e-12
 
 #: d_curve refuses a curve that takes more state-steps, t_max (k + 1), or
-#: holds more rows, t_max // stride + 1, than these: at about a
-#: nanosecond per state-step, and 16 bytes per row in the profile plus
-#: the row's text (about 30 bytes in csv, 65 in json), that is minutes of
-#: stepping or about 70 MB of arrays and 130 to 270 MB of text.
-#: mixing_times refuses to step on to its horizon beyond the same
-#: state-step cap.
+#: holds more rows, t_max // stride + 1, than these.  A step costs
+#: microseconds of overhead on top of its state-steps: measured by
+#: d_curve on a 2-core Xeon, 3.1 to 4.5 us per step at k = 10, 4.3 to 5.4
+#: at 283, 9.8 to 11.4 at 2000 and 33 to 52 at 20 000 (about 300, 15 to
+#: 19, 5 and 2 ns per state-step).  So the cap is a few minutes of
+#: stepping at k = 20 000, half an hour at 283 and 8 to 11 hours at
+#: k = 10.  At 16 bytes per row in the profile plus the row's text (about
+#: 30 bytes in csv, 65 in json), the row cap is about 70 MB of arrays and
+#: 130 to 270 MB of text.  laws_at, and mixing_times stepping on to its
+#: horizon, refuse beyond the same state-step cap.
 _CURVE_STATE_STEPS = 10**11
 _CURVE_ROWS = 1 << 22
 
@@ -484,12 +488,20 @@ def laws_at(params: ModelParams, times) -> dict[int, np.ndarray]:
 
     One stride-1 evolution visits the times in increasing order, so each
     law is bit-identical to evolving the point mass t steps in one call.
+    Times beyond ``_CURVE_STATE_STEPS`` state-steps max(t) (k + 1) raise
+    ValueError before any step.
     """
+    targets = sorted(set(times))
+    if targets and targets[-1] * (params.k + 1) > _CURVE_STATE_STEPS:
+        raise ValueError(
+            f"t={targets[-1]} with k={params.k} is beyond the cap of "
+            f"{_CURVE_STATE_STEPS} state-steps t*(k+1)"
+        )
     kernel = build_kernel(params)
     p = delta_at(params.k, params.k + 1)
     out: dict[int, np.ndarray] = {}
     t = 0
-    for target in sorted(set(times)):
+    for target in targets:
         p = evolve(p, kernel, target - t)
         t = target
         out[target] = p

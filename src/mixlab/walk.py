@@ -230,9 +230,10 @@ def survival_bruteforce(m: int, steps: int, q: float) -> np.ndarray:
 
 
 def _check_batch(t_cap: int, replicas: int) -> None:
-    """Reject a negative time cap or an empty replica batch."""
-    if t_cap < 0:
-        raise ValueError("t_cap must be nonnegative")
+    """Reject a time cap outside [0, 2**62), so that the sentinel t_cap + 1
+    and a clock plus a saturated hold fit int64, or an empty replica batch."""
+    if not 0 <= t_cap < 2**62:
+        raise ValueError(f"t_cap must lie in [0, 2**62), got {t_cap}")
     if replicas < 1:
         raise ValueError("replicas must be positive")
 
@@ -254,13 +255,16 @@ def hitting_time_samples(
     (r = ``_BLOCK``, or the index of the hitting jump) sum to
     r + NB(r, q), drawn as one number.  A hit after t_cap, or a block
     without a hit that ends after t_cap, leaves the sentinel t_cap + 1:
-    any later hit is later still.  Returns (times, hit).  Raises
-    ValueError when q is too small for numpy's negative-binomial
-    sampler (below about 1e-17).
+    any later hit is later still.  Each jump takes at least one step, so
+    a start beyond t_cap returns the sentinels without a draw.  Returns
+    (times, hit).  Raises ValueError when q is too small for numpy's
+    negative-binomial sampler (below about 1e-17).
     """
     _check_batch(t_cap, replicas)
     times = np.full(replicas, t_cap + 1, dtype=np.int64)
     hit = np.zeros(replicas, dtype=bool)
+    if params.start > t_cap:
+        return times, hit
     # the running replicas: their indices, positions and clocks
     gid = np.arange(replicas)
     pos = np.full(replicas, params.start, dtype=np.int64)

@@ -303,10 +303,10 @@ def test_09_coupling_bounds_exact_d():
     )
     results = []
     ok = True
-    for t, est in zip(ts, estimates):
-        good = d_exact[t] <= est.estimate + 4.0 * est.stderr
+    for t, (estimate, stderr) in zip(ts, estimates):
+        good = d_exact[t] <= estimate + 4.0 * stderr
         ok = ok and good
-        results.append(f"t={t}: {d_exact[t]:.4f} <= {est.estimate:.4f}+4*{est.stderr:.1e}")
+        results.append(f"t={t}: {d_exact[t]:.4f} <= {estimate:.4f}+4*{stderr:.1e}")
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120
     _report("09 coupling bounds exact d", ok, "; ".join(results) + f", {elapsed:.1f}s < 120s")

@@ -13,6 +13,7 @@ from mixlab import ModelParams, cli, lumped, walk
 from mixlab.config import parse_config
 from mixlab.experiments import OracleFailure, run_experiment, run_oracle_check
 from mixlab.lumped import BirthDeathKernel, build_kernel
+from test_config_records import MINIMAL
 
 
 def _run_cli(args, cwd):
@@ -406,6 +407,29 @@ def test_coupling_record_bounds_exact_distance():
         assert 0.0 <= row[cols["walk_survival"]] <= 1.0
 
 
+def test_hitting_record_from_beyond_the_horizon_survives():
+    """m far beyond every steps value: simulated and exact survival are both 1."""
+    record = run_experiment(parse_config(
+        {"kind": "hitting", "m": 2**63 - 1, "q": 1.0, "steps_values": [100, 1000],
+         "replicas": 2000}
+    ))
+    assert [row[1:] for row in record.rows] == [(1.0, 1.0, 0.0)] * 2
+
+
+def test_cli_coupling_refuses_a_time_beyond_the_stepping_cap(tmp_path):
+    """t = 10^12 at k = 10 is beyond the state-step cap of the exact laws:
+    exit 1 with one line, in seconds."""
+    cfg = _write_config(tmp_path, "c.json",
+                        {"kind": "coupling", "n": 100, "k": 10, "t_values": [10**12]})
+    start = time.monotonic()
+    result = _run_cli(["coupling", "--config", cfg], tmp_path)
+    assert time.monotonic() - start < 10.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: t=1000000000000 with k=10 is beyond the cap of ")
+    assert result.stderr.count("\n") == 1
+
+
 _SWEEP = {"kind": "sweep", "n_grid": [40, 60, 80], "k_rule": {"kind": "fraction", "value": 0.2}}
 
 
@@ -448,3 +472,26 @@ def test_cli_unwritable_out_after_oracle_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("tv-curve", "n"), ("tv-curve", "t_max"), ("tv-curve", "stride"),
+    ("sweep", "n_grid"),
+    ("coupling", "t_values"), ("coupling", "replicas"),
+    ("bounds", "t_values"), ("bounds", "replicas"),
+    ("hitting", "m"), ("hitting", "steps_values"), ("hitting", "replicas"), ("hitting", "seed"),
+    ("oracle-check", "t_max"),
+])
+def test_cli_integer_keys_at_the_int64_limit(tmp_path, kind, key):
+    """Each integer key at 2**63 - 1 (the first entry of a list) runs or is
+    refused with exit 1, never with a traceback, and in seconds."""
+    payload = dict(MINIMAL[kind])
+    value = payload.get(key)
+    big = 2**63 - 1
+    payload[key] = [big, *value[1:]] if isinstance(value, list) else big
+    cfg = _write_config(tmp_path, "c.json", payload)
+    start = time.monotonic()
+    result = _run_cli([kind, "--config", cfg], tmp_path)
+    assert time.monotonic() - start < 30.0
+    assert result.returncode in (0, 1), result.stderr
+    assert "Traceback" not in result.stderr

@@ -126,14 +126,11 @@ EVERY_PROBLEM = {
         ],
     ),
     "coupling": (
-        {"kind": "coupling", "n": 10, "k": 6, "t_values": [5, -1], "replicas": 0, "x": 7,
-         "y": 8},
+        {"kind": "coupling", "n": 10, "k": 6, "t_values": [5, -1], "replicas": 0},
         [
             "'replicas' must be >= 1, got 0",
-            "'x' must be <= k=6, got 7",
             "every entry of 't_values' must be >= 0",
             "k must satisfy 1 <= k <= n/2, got k=6 for n=10",
-            "need y <= x, got y=8 with start x=7",
         ],
     ),
     "bounds": (
@@ -291,15 +288,14 @@ def test_parse_sweep_rule_must_fit_grid():
         parse_config({"kind": "sweep", "n_grid": [100, 200], "k_rule": {"kind": "fraction", "value": 0.2}})
 
 
-def test_parse_coupling_start_ordering():
-    raw = dict(MINIMAL["coupling"], x=2, y=4)
-    with pytest.raises(ConfigError):
-        parse_config(raw)
-    config = parse_config(dict(MINIMAL["coupling"], x=4, y=2))
-    assert config.x == 4 and config.y == 2
-    # with x omitted the start defaults to k, so y is checked against k
-    with pytest.raises(ConfigError):
-        parse_config(dict(MINIMAL["coupling"], y=7))
+def test_parse_coupling_takes_no_start_keys():
+    """The coupling runs from the worst pair (k, 0) only: x and y are unknown keys."""
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(dict(MINIMAL["coupling"], x=4, y=2))
+    assert exc_info.value.problems == [
+        "unknown key 'x' for kind 'coupling'",
+        "unknown key 'y' for kind 'coupling'",
+    ]
 
 
 def test_parse_bounds_threshold_range():

@@ -277,6 +277,18 @@ def test_laws_at_matches_one_call_evolution():
         laws_at(params, [-1])
 
 
+def test_laws_at_refuses_beyond_the_state_step_cap(monkeypatch):
+    """Laws up to t are given when t (k + 1) state-steps are within the cap,
+    and one state-step beyond it raises in one line before any step."""
+    params = ModelParams(60, 12)
+    monkeypatch.setattr(lumped, "_CURVE_STATE_STEPS", 150 * 13)
+    assert sorted(laws_at(params, [150, 7])) == [7, 150]
+    monkeypatch.setattr(lumped, "_CURVE_STATE_STEPS", 150 * 13 - 1)
+    monkeypatch.setattr(lumped, "evolve", None)  # a step would fail otherwise
+    with pytest.raises(ValueError, match=r"^t=150 with k=12 is beyond the cap of 1949 [^\n]*$"):
+        laws_at(params, [150, 7])
+
+
 TINY = np.finfo(float).tiny
 
 

@@ -206,6 +206,37 @@ def test_hitting_validation_and_single_path():
     assert not hit[0] or 1 <= times[0] <= 1000
 
 
+@pytest.mark.parametrize("t_cap", [2**62, 2**63 - 1])
+def test_samplers_refuse_a_time_cap_outside_int64_room(t_cap):
+    """t_cap + 1 and a clock plus a saturated hold must fit int64: one-line ValueError."""
+    kernel = build_coupled_kernel(ModelParams(20, 5))
+    for sample in (
+        lambda rng: hitting_time_samples(WalkParams(0.5, 1), t_cap, 10, rng),
+        lambda rng: merge_time_samples(kernel, 5, 0, t_cap, 10, rng),
+    ):
+        with pytest.raises(ValueError, match=rf"^t_cap must lie in \[0, 2\*\*62\), got {t_cap}$"):
+            sample(replica_stream(31, 5))
+    walk._check_batch(2**62 - 1, 1)
+
+
+def test_hitting_from_beyond_the_cap_draws_nothing():
+    """Each jump takes a step, so a start beyond t_cap cannot hit by then:
+    the sentinels come back without a draw, and no position wraps."""
+    rng = np.random.default_rng(7)
+    times, hit = hitting_time_samples(WalkParams(1.0, 2**63 - 1), 1000, 300, rng)
+    assert not hit.any() and (times == 1001).all()
+    assert rng.random() == np.random.default_rng(7).random()
+
+
+def test_hitting_from_the_cap_can_still_hit():
+    """At m = t_cap = 3 with q = 1 only the straight descent hits by t_cap: chance 1/8."""
+    replicas = 20_000
+    times, hit = hitting_time_samples(WalkParams(1.0, 3), 3, replicas, replica_stream(31, 6))
+    assert (times[hit] == 3).all() and (times[~hit] == 4).all()
+    sigma = math.sqrt(1 / 8 * 7 / 8 / replicas)
+    assert abs(hit.mean() - 1 / 8) < 4.0 * sigma
+
+
 def test_tail_estimate_edges():
     samples = np.array([3, 5, 5, 9])
     assert tail_estimate(samples, 2) == (1.0, 0.0)  # all above
