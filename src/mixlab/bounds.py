@@ -31,6 +31,10 @@ from .exclusion import ModelParams
 from .lumped import equilibrium
 from .walk import tail_estimate
 
+#: A bounds report draws at most this many geometric waits in all: at the
+#: 20 to 42 ns a wait took on a 2-core Xeon, five to ten minutes.
+_DRAW_CAP = 15 * 10**9
+
 
 @dataclass(frozen=True)
 class CollectorSpec:
@@ -111,17 +115,38 @@ def _chebyshev_survival(spec: CollectorSpec, t: int) -> float:
     return max(0.0, 1.0 - variance / (shortfall * shortfall))
 
 
+def _waits(spec: CollectorSpec, t: int) -> int:
+    """Geometric waits one replica of the bound at t draws: k - residual, or
+    none before ceil((k - residual)/2) steps, where two draws per step leave
+    the survival exactly 1."""
+    stages = spec.k - spec.residual
+    return stages if t >= (stages + 1) // 2 else 0
+
+
+def refuse_draws(params: ModelParams, t_values, threshold: int, replicas: int) -> None:
+    """Raise ValueError, before any draw, when the unlabeled and labeled
+    bounds at each t of ``t_values`` would draw more than ``_DRAW_CAP``
+    geometric waits in all."""
+    specs = (CollectorSpec(params.n, params.k, 0), CollectorSpec(params.n, params.k, threshold))
+    waits = replicas * sum(_waits(spec, t) for spec in specs for t in t_values)
+    if waits > _DRAW_CAP:
+        raise ValueError(
+            f"the collector bounds with replicas={replicas} would draw {waits} geometric waits, "
+            f"beyond the cap of {_DRAW_CAP}"
+        )
+
+
 def _lower_bound(
     spec: CollectorSpec, t: int, correction: float, replicas: int, rng: np.random.Generator
 ) -> TvLowerBound:
     """max(0, P[collection needs more than t chain steps] - correction).
 
-    Two draws per chain step: before ceil((k - residual)/2) steps the
-    survival is exactly 1, and nothing is sampled.
+    Where the bound draws no waits (see :func:`_waits`) the survival is
+    exactly 1, and nothing is sampled.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t < (spec.k - spec.residual + 1) // 2:
+    if not _waits(spec, t):
         survival, stderr = 1.0, 0.0
     else:
         steps = (single_draw_collection_samples(spec, replicas, rng) + 1) // 2

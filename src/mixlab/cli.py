@@ -8,10 +8,10 @@ bounds, hitting, oracle-check.  The config file is a JSON object; the
 optional flags override the matching config keys.  Exit status: 0 on
 success; 1 for an invalid or unreadable config (every problem is listed
 on stderr), for an infeasible run (a threshold not reached within the
-horizon, a sweep threshold or exact law that only stepping beyond the
-state-step cap could give, a sampler time cap of 2**62 or more, or
-arrays too large to allocate) or for an output path that cannot be
-written; 2 when oracle-check finds a violated identity.
+horizon, exact stepping estimated beyond the stepping cap of 300 s, a
+bounds run beyond its cap of geometric waits, a sampler time cap of
+2**62 or more, or arrays too large to allocate) or for an output path
+that cannot be written; 2 when oracle-check finds a violated identity.
 """
 
 from __future__ import annotations

@@ -180,6 +180,7 @@ def run_coupling_experiment(config: ExperimentConfig) -> ResultRecord:
 
 def run_bounds_report(config: ExperimentConfig) -> ResultRecord:
     params = exclusion.ModelParams(config.n, config.k)
+    bounds_mod.refuse_draws(params, config.t_values, config.threshold, config.replicas)
     laws = lumped.laws_at(params, config.t_values)
     pi = lumped.equilibrium(params)
     meta = _base_meta(config)

@@ -60,18 +60,17 @@ _TINY = float(np.finfo(float).tiny)
 #: a larger one is an error.
 _TV_WOBBLE = 1e-12
 
-#: d_curve refuses a curve that takes more state-steps, t_max (k + 1), or
-#: holds more rows, t_max // stride + 1, than these.  A step costs
-#: microseconds of overhead on top of its state-steps: measured by
-#: d_curve on a 2-core Xeon, 3.1 to 4.5 us per step at k = 10, 4.3 to 5.4
-#: at 283, 9.8 to 11.4 at 2000 and 33 to 52 at 20 000 (about 300, 15 to
-#: 19, 5 and 2 ns per state-step).  So the cap is a few minutes of
-#: stepping at k = 20 000, half an hour at 283 and 8 to 11 hours at
-#: k = 10.  At 16 bytes per row in the profile plus the row's text (about
-#: 30 bytes in csv, 65 in json), the row cap is about 70 MB of arrays and
-#: 130 to 270 MB of text.  laws_at, and mixing_times stepping on to its
-#: horizon, refuse beyond the same state-step cap.
-_CURVE_STATE_STEPS = 10**11
+#: Stepping a law on 0..k is estimated at _STEP_NS per step plus
+#: _STATE_STEP_NS per entry and refused beyond _STEPPING_CAP_NS, before its
+#: first step: an upper envelope of d_curve (a step and a distance over all
+#: k + 1 entries), which took 3.5-5.2 us per step at k = 10, 4.3-7.3 at 283,
+#: 10.7-14.3 at 2000, 31-45 at 20 000 and 397-571 at 2*10^5 on a 2-core Xeon
+#: (estimated 10, 10.9, 16, 70 and 610).  At 3 ns an entry, no run beyond
+#: 10^11 state-steps t (k + 1) passes.  d_curve also refuses more rows than
+#: _CURVE_ROWS: 70 MB of profile and 130 to 270 MB of csv or json text.
+_STEPPING_CAP_NS = 300 * 10**9
+_STEP_NS = 10_000
+_STATE_STEP_NS = 3
 _CURVE_ROWS = 1 << 22
 
 #: Distances are computed for blocks of up to this many laws at once,
@@ -282,6 +281,14 @@ class _Stepper:
         self.lo, self.hi, self.cur = lo, hi, cur
 
 
+def _refuse_stepping(steps: int, k: int, what: str, error: type[Exception]) -> None:
+    """Raise ``error``, its message opened by ``what``, for stepping beyond the cap."""
+    estimate = steps * (_STEP_NS + _STATE_STEP_NS * (k + 1))
+    if estimate > _STEPPING_CAP_NS:
+        cap, took = _STEPPING_CAP_NS // 10**9, estimate // 10**9
+        raise error(f"{what} is beyond the cap of {cap} s of stepping, at an estimated {took} s")
+
+
 def _check_mass(law: np.ndarray) -> None:
     """Raise RuntimeError when ``law``'s mass has drifted from 1 beyond 1e-10."""
     drift = abs(float(law.sum()) - 1.0)
@@ -455,18 +462,17 @@ def d_curve(params: ModelParams, t_max: int, stride: int = 1) -> MixingProfile:
     Samples t = 0, stride, 2*stride, ... up to t_max.  Float wobble can
     lift d by up to 1e-12 from one sample to the next; such steps are
     clamped, and a larger rise raises RuntimeError.  A curve beyond
-    ``_CURVE_STATE_STEPS`` or ``_CURVE_ROWS`` raises ValueError before
-    anything is allocated.
+    ``_CURVE_ROWS`` rows or the stepping cap (``_STEPPING_CAP_NS``) raises
+    ValueError before anything is allocated.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     if stride < 1:
         raise ValueError("stride must be positive")
-    if t_max * (params.k + 1) > _CURVE_STATE_STEPS or t_max // stride + 1 > _CURVE_ROWS:
-        raise ValueError(
-            f"t_max={t_max} with k={params.k} and stride={stride} is beyond the cap of "
-            f"{_CURVE_STATE_STEPS} state-steps t_max*(k+1) and {_CURVE_ROWS} rows t_max//stride+1"
-        )
+    what = f"t_max={t_max} with k={params.k}"
+    if t_max // stride + 1 > _CURVE_ROWS:
+        raise ValueError(f"{what} and stride={stride} is beyond the cap of {_CURVE_ROWS} rows")
+    _refuse_stepping(t_max, params.k, what, ValueError)
     kernel = build_kernel(params)
     pi = equilibrium(params)
     stepper = _Stepper(kernel, delta_at(params.k, params.k + 1))
@@ -488,15 +494,12 @@ def laws_at(params: ModelParams, times) -> dict[int, np.ndarray]:
 
     One stride-1 evolution visits the times in increasing order, so each
     law is bit-identical to evolving the point mass t steps in one call.
-    Times beyond ``_CURVE_STATE_STEPS`` state-steps max(t) (k + 1) raise
-    ValueError before any step.
+    Times whose max(t) steps are estimated beyond the stepping cap
+    (``_STEPPING_CAP_NS``) raise ValueError before any step.
     """
     targets = sorted(set(times))
-    if targets and targets[-1] * (params.k + 1) > _CURVE_STATE_STEPS:
-        raise ValueError(
-            f"t={targets[-1]} with k={params.k} is beyond the cap of "
-            f"{_CURVE_STATE_STEPS} state-steps t*(k+1)"
-        )
+    last = max(targets, default=0)
+    _refuse_stepping(last, params.k, f"t={last} with k={params.k}", ValueError)
     kernel = build_kernel(params)
     p = delta_at(params.k, params.k + 1)
     out: dict[int, np.ndarray] = {}
@@ -679,8 +682,8 @@ def mixing_times(params: ModelParams, eps_values: tuple[float, ...] | list[float
     bisected from there.  Every time is thus the stepper's own.  Raises
     if a stepped d(t) rises beyond float wobble, if a threshold is not
     reached by the proven horizon (:func:`default_horizon`), or, before
-    stepping, if stepping on from t to the horizon would take more than
-    ``_CURVE_STATE_STEPS`` state-steps (horizon - t)(k + 1).
+    stepping, if the horizon - t steps on from t are estimated beyond the
+    stepping cap (``_STEPPING_CAP_NS``).
     """
     eps_list = sorted(set(float(e) for e in eps_values), reverse=True)
     if not eps_list:
@@ -707,12 +710,9 @@ def mixing_times(params: ModelParams, eps_values: tuple[float, ...] | list[float
                 spectrum = _Spectrum(params, pi)
             found = spectrum.crossing(eps_list[0], t, horizon)
             if found is None:
-                if (horizon - t) * (params.k + 1) > _CURVE_STATE_STEPS:
-                    raise RuntimeError(
-                        f"eps={eps_list[0]} is not decided by the eigen-expansion from t={t}, "
-                        f"and stepping on to the horizon {horizon} would take more than "
-                        f"{_CURVE_STATE_STEPS} state-steps"
-                    )
+                what = f"eps={eps_list[0]} is not decided by the eigen-expansion from t={t}"
+                what += f", and stepping on to the horizon {horizon}"
+                _refuse_stepping(horizon - t, params.k, what, RuntimeError)
                 stepped = eps_list[0]
             elif found > horizon:
                 break

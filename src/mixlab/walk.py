@@ -38,13 +38,16 @@ import numpy as np
 #: Brute-force dynamic program is quadratic in steps; keep it honest.
 _BRUTEFORCE_STEP_CAP = 10_000
 
-#: L of the move-count window of :func:`_binomial_weights`, which leaves
+#: L of the move-count window of :func:`_bernstein_window`, which leaves
 #: out at most 2 exp(-L) = 2^-64 of the Bin(steps, q) mass.
 _TAIL_LOG = 65.0 * math.log(2.0)
 
 #: Entries per block of the window sums of :func:`survival_exact` (a
-#: block has at least 16 move counts).
+#: block has at least 16 move counts), and move counts per block of their
+#: weights: 512 KiB, so that a window of at most that many is summed as
+#: one array.
 _SPREAD_ENTRIES = 1 << 12
+_WEIGHT_ROWS = 1 << 16
 
 #: Jumps drawn per running replica and round of the hitting sampler:
 #: eight random bytes of fair signs.
@@ -82,37 +85,70 @@ def _validate(m: int, steps: int, q: float) -> None:
         raise ValueError(f"steps must be nonnegative, got {steps}")
 
 
-def _binomial_weights(steps: int, q: float) -> tuple[int, np.ndarray]:
-    """(lo, w): the Bin(steps, q) weights of the move counts lo, lo + 1, ...
-    scaled so that the mode's is 1, over a window that holds all but
-    2 exp(-L) of the mass, L = ``_TAIL_LOG``.
+def _bernstein_window(steps: int, q: float) -> tuple[int, int, int]:
+    """(lo, mode, hi): the move counts lo..hi, which hold the mode of
+    Bin(steps, q) and all but 2 exp(-L) of its mass, L = ``_TAIL_LOG``.
 
     With mean mu = steps q and variance v = mu (1 - q), Bernstein's
     inequality puts Bin(steps, q) at least w from mu with probability at
     most 2 exp(-w^2 / (2 (v + w/3))), and w = L/3 + sqrt(L^2/9 + 2 L v)
     makes that 2 exp(-L).  The window is [floor(mu - w), ceil(mu + w)]
     within 0..steps, widened to hold the mode floor((steps + 1) q), so
-    it has O(sqrt(steps q) + L) move counts.  Each log-weight is the
-    running sum of the log-ratios
-    log w(j + 1) - log w(j) = log((steps - j) / (j + 1)) + log(q / (1 - q)),
-    taken outward from the mode on both sides, so the sum is small
-    wherever the weight is not.
+    it has O(sqrt(steps q) + L) move counts.
     """
-    if q == 1.0:  # every step moves; the log-odds are infinite
-        return steps, np.ones(1)
+    if q == 1.0:  # every step moves
+        return steps, steps, steps
     mode = min(int((steps + 1) * q), steps)
     mean = steps * q
     reach = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * mean * (1 - q))
     lo = max(min(math.floor(mean - reach), mode), 0)
     hi = min(max(math.ceil(mean + reach), mode), steps)
-    ratio = np.arange(lo + 1.0, hi + 1.0)  # j + 1
-    np.divide(steps + 1.0 - ratio, ratio, out=ratio)
-    np.log(ratio, out=ratio)
-    ratio += math.log(q) - math.log1p(-q)
-    below = ratio[: mode - lo]
+    return lo, mode, hi
+
+
+def _binomial_weights(steps: int, q: float, window: tuple[int, int, int]):
+    """Yield (start, w): the Bin(steps, q) weights of the move counts start,
+    start + 1, ... of ``window`` (see :func:`_bernstein_window`), scaled so
+    that the mode's is 1, in blocks of ``_WEIGHT_ROWS`` from its low end:
+    the block with the mode first, then those above it upward and those
+    below it downward.  Each log-weight is the running sum of the log-ratios
+    log w(j + 1) - log w(j) = log((steps - j) / (j + 1)) + log(q / (1 - q)),
+    taken outward from the mode, so the sum is small wherever the weight is
+    not; each block carries it on from the last, one addition at a time.
+    """
+    lo, mode, hi = window
+    rows = _WEIGHT_ROWS
+    # at q = 1 the window is one move count, and no ratio is taken
+    log_odds = math.log(q) - math.log1p(-q) if q < 1.0 else 0.0
+
+    def log_ratios(first: int, last: int) -> np.ndarray:
+        """log w(j + 1) - log w(j) for j = first .. last - 1."""
+        ratio = np.arange(first + 1.0, last + 1.0)  # j + 1
+        np.divide(steps + 1.0 - ratio, ratio, out=ratio)
+        np.log(ratio, out=ratio)
+        ratio += log_odds
+        return ratio
+
+    first = lo + (mode - lo) // rows * rows
+    ratio = log_ratios(first, min(first + rows, hi + 1) - 1)
+    below = ratio[: mode - first]
     np.negative(below, out=below)
-    logw = np.concatenate((np.cumsum(below[::-1])[::-1], [0.0], np.cumsum(ratio[mode - lo :])))
-    return lo, np.exp(logw, out=logw)
+    logw = np.concatenate((np.cumsum(below[::-1])[::-1], [0.0], np.cumsum(ratio[mode - first :])))
+    low, high = logw[0], logw[-1]
+    yield first, np.exp(logw, out=logw)
+    for start in range(first + rows, hi + 1, rows):
+        logw = log_ratios(start - 1, min(start + rows, hi + 1) - 1)
+        logw[0] += high
+        np.cumsum(logw, out=logw)
+        high = logw[-1]
+        yield start, np.exp(logw, out=logw)
+    for start in range(first - rows, lo - 1, -rows):
+        logw = log_ratios(start, start + rows)
+        np.negative(logw, out=logw)
+        logw[-1] += low
+        np.cumsum(logw[::-1], out=logw[::-1])
+        low = logw[0]
+        yield start, np.exp(logw, out=logw)
 
 
 def _central_table(size: int) -> np.ndarray:
@@ -159,48 +195,51 @@ def survival_exact(m: int, steps: int, q: float) -> float:
 
     The free walk from 0 makes M ~ Bin(steps, q) moves and then sits at
     2 Bin(M, 1/2) - M; the result is its mass inside [-m+1, m], summed
-    over the Bernstein window of move counts of :func:`_binomial_weights`,
+    over the Bernstein window of move counts of :func:`_bernstein_window`,
     which moves it by at most 2^-64.  For each M the window mass is the
     central term C(M, h) / 2^M, h = M // 2, times the sum of
     C(M, h + j) / C(M, h) over the offsets j the window holds, each a
     running product of C(M, b + 1) / C(M, b) = (M - b) / (b + 1).  The
-    cost is O(m sqrt(steps q)) and the memory O(m + sqrt(steps q)).  By
-    Hoeffding's inequality the window misses at most 2 exp(-m^2 / (2 M))
-    of Bin(M, 1/2), so m^2 > 112 log(2) M for the largest M of the
-    Bernstein window makes every miss less than 2^-55, and gives 1 at once.
+    weights go a block of 2^16 at a time, so the cost is
+    O(m sqrt(steps q)) and the memory O(m + 2^16).  By Hoeffding's
+    inequality the window misses at most 2 exp(-m^2 / (2 M)) of
+    Bin(M, 1/2), so m^2 > 112 log(2) M for the largest M of the Bernstein
+    window makes every miss less than 2^-55, and gives 1 at once.
     """
     _validate(m, steps, q)
-    lo, weights = _binomial_weights(steps, q)
-    hi = lo + weights.size
-    if m * m > 112.0 * math.log(2.0) * (hi - 1):
+    window = _bernstein_window(steps, q)
+    if m * m > 112.0 * math.log(2.0) * window[2]:
         # every window misses less than 2^-55 of its mass: 1 - 2^-55 rounds to 1
         return 1.0
     width = (m + 1) // 2
     offsets = np.arange(1, width + 1)
     rows = max(16, _SPREAD_ENTRIES // width)
-    total = 0.0
-    for start in range(lo, hi, rows):
-        stop = min(start + rows, hi)
-        moves = np.arange(start, stop)
-        half = moves >> 1
-        # C(M, h + j) / C(M, h) for j = 1..width, 0 past h + j = M
-        terms = np.subtract.outer(moves - half + 1, offsets) / np.add.outer(half, offsets)
-        np.cumprod(terms, axis=1, out=terms)
-        # C(M, h + j) / 2^M is the mass at x = 2j - M % 2 and at -x.  Both
-        # lie in [-m+1, m] for j < width; at j = width, x = m + 1 - M % 2
-        # when m is odd, and x = m - M % 2 when m is even, so the window
-        # drops one copy if m is odd and one more if M is even.  Offset 0
-        # is x = 0 at even M; at odd M it is the mirror of offset 1.
-        last = terms[:, -1]
-        inside = terms.sum(axis=1)
-        inside *= 2.0
-        if m % 2:
-            inside -= last
-        even = slice(start % 2, None, 2)
-        inside[even] += 1.0 - last[even]
-        inside *= _central(moves)
-        total += weights[start - lo : stop - lo] @ inside
-    return float(total / weights.sum())
+    total = mass = 0.0
+    for first, weights in _binomial_weights(steps, q, window):
+        end = first + weights.size
+        for start in range(first, end, rows):
+            stop = min(start + rows, end)
+            moves = np.arange(start, stop)
+            half = moves >> 1
+            # C(M, h + j) / C(M, h) for j = 1..width, 0 past h + j = M
+            terms = np.subtract.outer(moves - half + 1, offsets) / np.add.outer(half, offsets)
+            np.cumprod(terms, axis=1, out=terms)
+            # C(M, h + j) / 2^M is the mass at x = 2j - M % 2 and at -x.  Both
+            # lie in [-m+1, m] for j < width; at j = width, x = m + 1 - M % 2
+            # when m is odd, and x = m - M % 2 when m is even, so the window
+            # drops one copy if m is odd and one more if M is even.  Offset 0
+            # is x = 0 at even M; at odd M it is the mirror of offset 1.
+            last = terms[:, -1]
+            inside = terms.sum(axis=1)
+            inside *= 2.0
+            if m % 2:
+                inside -= last
+            even = slice(start % 2, None, 2)
+            inside[even] += 1.0 - last[even]
+            inside *= _central(moves)
+            total += weights[start - first : stop - first] @ inside
+        mass += weights.sum()
+    return float(total / mass)
 
 
 def survival_bruteforce(m: int, steps: int, q: float) -> np.ndarray:

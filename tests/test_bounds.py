@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixlab import LABELED, ModelParams, replica_stream
+from mixlab import LABELED, ModelParams, bounds, replica_stream
 from mixlab.bounds import (
     CollectorSpec,
     collector_moments,
     labeled_tv_lower_bound,
+    refuse_draws,
     single_draw_collection_samples,
     unlabeled_tv_lower_bound,
 )
@@ -209,3 +210,24 @@ def test_chebyshev_certificate_is_conservative():
         )
         cheb_survival = bound.chebyshev + bound.correction if bound.chebyshev > 0 else 0.0
         assert cheb_survival <= bound.survival + 4.0 * max(bound.stderr, 1e-4)
+
+
+def test_draw_cap_counts_the_waits_the_bounds_draw(monkeypatch):
+    """At (40, 12) with threshold 3, each replica draws 12 waits for the
+    unlabeled bound from t = 6 and 9 for the labeled one from t = 5, as the
+    samplers do; a cap of exactly that many waits passes, one below it raises."""
+    params, t_values, replicas = ModelParams(40, 12), [0, 4, 5, 6, 30], 7
+    waits = replicas * (9 * 3 + 12 * 2)
+    monkeypatch.setattr(bounds, "_DRAW_CAP", waits)
+    refuse_draws(params, t_values, 3, replicas)
+    monkeypatch.setattr(bounds, "_DRAW_CAP", waits - 1)
+    with pytest.raises(ValueError, match=rf"^the collector bounds with replicas=7 would draw "
+                                         rf"{waits} geometric waits, beyond the cap of {waits - 1}$"):
+        refuse_draws(params, t_values, 3, replicas)
+    calls = []
+    monkeypatch.setattr(bounds, "single_draw_collection_samples",
+                        lambda spec, *args: calls.append(spec.k - spec.residual) or np.zeros(1, int))
+    for t in t_values:
+        unlabeled_tv_lower_bound(params, t, replicas=replicas, rng=replica_stream(0, 0))
+        labeled_tv_lower_bound(params, t, 3, replicas=replicas, rng=replica_stream(0, 0))
+    assert replicas * sum(calls) == waits

@@ -430,6 +430,28 @@ def test_cli_coupling_refuses_a_time_beyond_the_stepping_cap(tmp_path):
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("payload, prefix", [
+    ({"kind": "coupling", "n": 100, "k": 10, "t_values": [10**9]},
+     "error: t=1000000000 with k=10 is beyond the cap of 300 s of stepping, "),
+    ({"kind": "tv-curve", "n": 100, "k": 10, "t_max": 10**9, "stride": 1000},
+     "error: t_max=1000000000 with k=10 is beyond the cap of 300 s of stepping, "),
+    ({"kind": "bounds", "n": 10**6, "k": 5 * 10**4, "threshold": 10, "t_values": [30000, 40000]},
+     "error: the collector bounds with replicas=100000 would draw 19998000000 geometric waits, "),
+], ids=["coupling", "tv-curve", "bounds"])
+def test_cli_refuses_hours_of_work_at_once(tmp_path, payload, prefix):
+    """Stepping 10^9 times at k = 10 (about 10^4 s estimated) or drawing
+    2*10^10 collector waits (12 to 14 minutes) is exit 1 with one line, in
+    seconds."""
+    cfg = _write_config(tmp_path, "c.json", payload)
+    start = time.monotonic()
+    result = _run_cli([payload["kind"], "--config", cfg], tmp_path)
+    assert time.monotonic() - start < 10.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(prefix)
+    assert result.stderr.count("\n") == 1
+
+
 _SWEEP = {"kind": "sweep", "n_grid": [40, 60, 80], "k_rule": {"kind": "fraction", "value": 0.2}}
 
 

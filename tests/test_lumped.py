@@ -277,16 +277,37 @@ def test_laws_at_matches_one_call_evolution():
         laws_at(params, [-1])
 
 
-def test_laws_at_refuses_beyond_the_state_step_cap(monkeypatch):
-    """Laws up to t are given when t (k + 1) state-steps are within the cap,
-    and one state-step beyond it raises in one line before any step."""
+def _stepping_estimate(steps, k):
+    """The stepping cost estimate, in ns, of ``steps`` steps of a law on 0..k."""
+    return steps * (lumped._STEP_NS + lumped._STATE_STEP_NS * (k + 1))
+
+
+@pytest.mark.parametrize("call, prefix", [
+    (lambda params: d_curve(params, 150, stride=7), "t_max=150 with k=12 "),
+    (lambda params: laws_at(params, [150, 7]), "t=150 with k=12 "),
+], ids=["d_curve", "laws_at"])
+def test_stepping_runs_at_the_cap_and_is_refused_below_it(monkeypatch, call, prefix):
+    """A curve or laws to t = 150 are given when the cap is exactly the
+    estimate of 150 steps, and refused in one line, before any step or
+    allocation, when the cap is one nanosecond below it."""
     params = ModelParams(60, 12)
-    monkeypatch.setattr(lumped, "_CURVE_STATE_STEPS", 150 * 13)
-    assert sorted(laws_at(params, [150, 7])) == [7, 150]
-    monkeypatch.setattr(lumped, "_CURVE_STATE_STEPS", 150 * 13 - 1)
-    monkeypatch.setattr(lumped, "evolve", None)  # a step would fail otherwise
-    with pytest.raises(ValueError, match=r"^t=150 with k=12 is beyond the cap of 1949 [^\n]*$"):
-        laws_at(params, [150, 7])
+    estimate = _stepping_estimate(150, 12)
+    monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate)
+    call(params)
+    monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate - 1)
+    monkeypatch.setattr(lumped, "build_kernel", None)  # so that any step or allocation fails
+    monkeypatch.setattr(lumped, "_Stepper", None)
+    with pytest.raises(ValueError, match=rf"^{prefix}is beyond the cap of \d+ s of stepping, "
+                                         rf"at an estimated \d+ s$"):
+        call(params)
+
+
+def test_stepping_cap_refuses_what_the_state_step_cap_did():
+    """At 3 ns an entry, every run beyond 10^11 state-steps is refused, at every k."""
+    for k in (10, 283, 2000, 20_000, 200_000):
+        steps = 10**11 // (k + 1) + 1
+        with pytest.raises(ValueError, match=rf"^t={steps} with k={k} is beyond the cap of 300 s "):
+            laws_at(ModelParams(10 * k, k), [steps])
 
 
 TINY = np.finfo(float).tiny
@@ -515,19 +536,29 @@ def test_eps_at_a_stepped_distance_is_decided_by_stepping():
         assert mixing_times(params, (eps,)) == {eps: t}
 
 
-def test_stepping_beyond_the_state_step_cap_raises(monkeypatch):
+def test_stepping_on_runs_at_the_cap_and_is_refused_below_it(monkeypatch):
     """An eps left to stepping after the first block of 64 laws is stepped
-    when (horizon - 64)(k + 1) state-steps are within the cap, and raises
-    with eps, t and the horizon in one line when they are one beyond it."""
+    when the cap is exactly the estimate of the horizon - 64 steps on, and
+    refused with eps, t and the horizon in one line, before any step beyond
+    the first block, when the cap is one nanosecond below it."""
     params = ModelParams(2000, 400)
     eps = float(d_curve(params, 2600).tv[2600])
-    need = (lumped.default_horizon(params, eps) - 64) * 401
-    monkeypatch.setattr(lumped, "_CURVE_STATE_STEPS", need)
+    horizon = lumped.default_horizon(params, eps)
+    estimate = _stepping_estimate(horizon - 64, 400)
+    monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate)
     assert mixing_times(params, (eps,)) == {eps: 2600}
-    monkeypatch.setattr(lumped, "_CURVE_STATE_STEPS", need - 1)
+    monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate - 1)
+    taken, advance = [], lumped._Stepper.advance
+
+    def counted(stepper, steps, rows=(None,)):
+        taken.append(steps * len(rows))
+        advance(stepper, steps, rows)
+
+    monkeypatch.setattr(lumped._Stepper, "advance", counted)
     with pytest.raises(RuntimeError, match=rf"^eps={eps} is not decided .* from t=64, .* "
-                                           rf"horizon {need // 401 + 64} [^\n]*$"):
+                                           rf"horizon {horizon} is beyond the cap [^\n]*$"):
         mixing_times(params, (eps,))
+    assert sum(taken) == 63
 
 
 @pytest.mark.parametrize("n,k,terms", [(2000, 400, None), (2000, 400, 40), (500, 25, 10),

@@ -95,9 +95,56 @@ def test_exact_keeps_only_the_weights_inside_the_bernstein_window(monkeypatch):
         tracemalloc.stop()
     assert peak < 500_000
     monkeypatch.setattr(walk, "_TAIL_LOG", 1e9)  # a window wider than 0..steps
-    lo, weights = walk._binomial_weights(10**6, 0.04)
-    assert lo == 0 and weights.size == 10**6 + 1
+    lo, _, hi = walk._bernstein_window(10**6, 0.04)
+    assert (lo, hi) == (0, 10**6)
     assert cut == pytest.approx(survival_exact(50, 10**6, 0.04), abs=1e-15)
+
+
+@pytest.mark.parametrize("steps, q", [(10**6, 0.04), (12_345_678, 0.3), (10**10, 0.001), (5000, 0.9)])
+def test_weight_blocks_carry_one_running_sum(monkeypatch, steps, q):
+    """Block by block, from the mode outward, the weights are bit for bit
+    those of one block over the whole window, whatever the block size."""
+    window = walk._bernstein_window(steps, q)
+    lo, hi = window[0], window[2]
+    monkeypatch.setattr(walk, "_WEIGHT_ROWS", hi - lo + 1)
+    [(start, whole)] = walk._binomial_weights(steps, q, window)
+    assert start == lo
+    for rows in (16, 100, 4096):
+        monkeypatch.setattr(walk, "_WEIGHT_ROWS", rows)
+        parts = np.full(whole.size, np.nan)
+        starts = []
+        for start, part in walk._binomial_weights(steps, q, window):
+            starts.append(start)
+            parts[start - lo : start - lo + part.size] = part
+        assert sorted(starts) == list(range(lo, hi + 1, rows))
+        np.testing.assert_array_equal(parts, whole)
+
+
+@pytest.mark.parametrize("m, steps, q, weight_rows", [
+    (1, 10**8, 0.5, walk._WEIGHT_ROWS), (11, 10**8, 0.5, walk._WEIGHT_ROWS),
+    (50, 10**6, 0.04, 100), (3, 10**6, 0.5, 1000),
+])
+def test_exact_in_weight_blocks_matches_one_block(monkeypatch, m, steps, q, weight_rows):
+    """Summed a block of weights at a time, the survival is within 1e-14 of
+    one pass over the whole window."""
+    monkeypatch.setattr(walk, "_WEIGHT_ROWS", weight_rows)
+    blocks = survival_exact(m, steps, q)
+    monkeypatch.setattr(walk, "_WEIGHT_ROWS", 1 << 40)
+    assert blocks == pytest.approx(survival_exact(m, steps, q), rel=1e-14, abs=0.0)
+
+
+def test_exact_memory_is_bounded_by_a_block():
+    """At 10^11 steps the Bernstein window spans about three million move
+    counts, but the traced peak stays under 8 MB; from 1 the walk survives
+    about sqrt(2 / (pi q steps)), up to O(1 / steps)."""
+    tracemalloc.start()
+    try:
+        value = survival_exact(1, 10**11, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    assert value == pytest.approx(math.sqrt(2.0 / (math.pi * 0.5e11)), rel=1e-9)
 
 
 def test_exact_across_the_full_window_shortcut(monkeypatch):
