@@ -26,11 +26,13 @@ error.  The expansion's approximation never reaches a result: a time is
 taken from it only where that error cannot change it, and exact stepping
 decides the rest, so the times are the stepper's own integers.
 
-One call of :func:`moment_curves` gives both moment curves: E[W_t]
-relaxes geometrically with factor 1 - 2/n toward k^2/n, and E[W_t^2]
-obeys a linear recursion with factor (1 - 2/n)^2 whose coefficients
-follow from the kernel above.  The ``oracle-check`` experiment checks
-both against direct distribution evolution.
+The mean and variance of W_t have closed forms (:func:`moments_at`):
+E[W_t] relaxes geometrically with factor 1 - 2/n toward k^2/n, and
+Var(W_t) is a sum of the powers (1 - 2/n)^t and (1 - 2/n)^(2t) whose
+coefficients follow from the kernel above.  They give the mean-gap lower
+bound on d(t) (:func:`mean_gap_bound`) without a law.  The
+``oracle-check`` experiment checks both against direct distribution
+evolution.
 """
 
 from __future__ import annotations
@@ -281,12 +283,17 @@ class _Stepper:
         self.lo, self.hi, self.cur = lo, hi, cur
 
 
-def _refuse_stepping(steps: int, k: int, what: str, error: type[Exception]) -> None:
-    """Raise ``error``, its message opened by ``what``, for stepping beyond the cap."""
-    estimate = steps * (_STEP_NS + _STATE_STEP_NS * (k + 1))
-    if estimate > _STEPPING_CAP_NS:
-        cap, took = _STEPPING_CAP_NS // 10**9, estimate // 10**9
-        raise error(f"{what} is beyond the cap of {cap} s of stepping, at an estimated {took} s")
+def _stepping_ns(steps: int, k: int) -> int:
+    """The estimated nanoseconds of ``steps`` steps of a law on 0..k."""
+    return steps * (_STEP_NS + _STATE_STEP_NS * (k + 1))
+
+
+def _refuse_stepping(estimate_ns: int, what: str, error: type, work: str = "stepping") -> None:
+    """Raise ``error``, its message opened by ``what``, for an integer
+    estimate of ``work`` beyond the cap of ``_STEPPING_CAP_NS``."""
+    if estimate_ns > _STEPPING_CAP_NS:
+        cap, took = _STEPPING_CAP_NS // 10**9, estimate_ns // 10**9
+        raise error(f"{what} is beyond the cap of {cap} s of {work}, at an estimated {took} s")
 
 
 def _check_mass(law: np.ndarray) -> None:
@@ -371,66 +378,61 @@ def dist_second_moment(dist: np.ndarray) -> float:
     return float(dist @ (values * values))
 
 
-def dist_variance(dist: np.ndarray) -> float:
-    m = dist_mean(dist)
-    return dist_second_moment(dist) - m * m
+def moments_at(params: ModelParams, t, w0: int | None = None):
+    """(E[W_t], Var(W_t)) from W_0 = w0 (default k), elementwise for an int
+    or an integer array t >= 0, in closed form.
 
+    Given W = i, the increment has mean 2k^2/n^2 - 2i/n and variance
+    c0 + c1 i, with c0 = 2k^2/n^2 - 4k^4/n^4 and
+    c1 = 2(n - 4k)/n^2 + 8k^2/n^3 = 2(n - 2k)^2/n^3: the i^2 terms cancel.
+    With f = 1 - 2/n, mu = k^2/n and delta = w0 - mu, the mean is
+    mu + delta f^t, and Var(W_(t+1)) = f^2 Var(W_t) + c0 + c1 E[W_t] sums to
 
-def moment_curves(params: ModelParams, t_max: int, w0: int | None = None) -> tuple[list, list]:
-    """E[W_t] and E[W_t^2] from W_0 = w0 (default k) for t = 0..t_max, in one call.
+        Var(W_t) = C (1 - f^(2t)) + c1 delta f^(t-1) (1 - f^t) / (1 - f),
 
-    The mean relaxes geometrically toward k^2/n.  The second moment
-    follows the exact linear recursion
-
-        E[W_{t+1}^2] = (1 - 2/n)^2 E[W_t^2]
-                       + (4k^2/n^2 - 8k/n^2 + 2/n) E[W_t] + 2k^2/n^2,
-
-    from the kernel's conditional increment moments
-    E[dW | W=i] = 2k^2/n^2 - 2i/n and E[dW^2 | W=i] = up(i) + down(i);
-    it carries its own mean, stepped alongside it.
+    where C = (c0 + c1 mu) / (1 - f^2).  Each 1 - f^s is taken from expm1,
+    so nothing cancels; at n = 2, f = 0.
     """
     n, k = params.n, params.k
     if w0 is None:
         w0 = k
     if not 0 <= w0 <= k:
         raise ValueError("w0 out of range")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
+    t = np.asarray(t)
+    if (t < 0).any():
+        raise ValueError("t must be nonnegative")
     nf = float(n)
-    decay = 1.0 - 2.0 / nf
-    fixed = k * k / nf
-    factor = decay**2
-    lin = 4.0 * k * k / nf**2 - 8.0 * k / nf**2 + 2.0 / nf
-    const = 2.0 * k * k / nf**2
-    mean = [(w0 - fixed) * decay**t + fixed for t in range(t_max + 1)]
-    m1, m2 = float(w0), float(w0 * w0)
-    second = [m2]
-    for _ in range(t_max):
-        m2 = factor * m2 + lin * m1 + const
-        m1 = decay * (m1 - fixed) + fixed
-        second.append(m2)
-    return mean, second
+    f = 1.0 - 2.0 / nf
+    mu = k * k / nf
+    delta = w0 - mu
+    c0 = 2.0 * k * k / nf**2 - 4.0 * k**4 / nf**4
+    c1 = 2.0 * (n - 2 * k) ** 2 / nf**3
+    # at t = 0 the powers below are nan or inf (log f = -inf when n = 2); t = 0 gives (w0, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_f = np.log1p(-2.0 / nf)
+        var = (c0 + c1 * mu) / -np.expm1(2.0 * log_f) * -np.expm1(2.0 * t * log_f)
+        var += c1 * delta * np.power(f, t - 1) * -np.expm1(t * log_f) / (2.0 / nf)
+    mean = delta * np.power(f, t) + mu
+    return mean[()], np.where(t > 0, var, 0.0)[()]
 
 
-def tv_lower_bound_second_moment(mu: np.ndarray, pi: np.ndarray) -> float:
-    """Mean-separation lower bound on total variation.
+def mean_gap_bound(params: ModelParams, t: int) -> float:
+    """Mean-separation lower bound on d(t), from W_0 = k.
 
     If two laws on {0..k} have means gap apart, any coupling (X, Y) of
     them has P[X != Y] >= gap^2 / (gap^2 + 2 Var_mu + 2 Var_pi) by
     Cauchy-Schwarz applied to E[X - Y]; the minimum over couplings is the
-    TV distance.  Returns 0 when the means coincide.
+    TV distance.  The moments of W_t are :func:`moments_at`'s, and pi's
+    are its closed forms, mean k^2/n and variance k^2 (n - k)^2 / (n^2 (n - 1)).
+    Returns 0 when the means coincide.
     """
-    mu = np.asarray(mu, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if mu.shape != pi.shape:
-        raise ValueError("distributions must have equal length")
-    check_distribution(mu)
-    check_distribution(pi)
-    gap = dist_mean(mu) - dist_mean(pi)
+    n, k = params.n, params.k
+    mean, var = moments_at(params, t)
+    gap = float(mean) - k * k / n
     if gap == 0.0:
         return 0.0
-    denom = gap * gap + 2.0 * (dist_variance(mu) + dist_variance(pi))
-    return min(1.0, gap * gap / denom)
+    var_pi = (k * (n - k)) ** 2 / (n * n * (n - 1))
+    return min(1.0, gap * gap / (gap * gap + 2.0 * (float(var) + var_pi)))
 
 
 def eigenfunction_check(kernel: BirthDeathKernel) -> float:
@@ -472,7 +474,7 @@ def d_curve(params: ModelParams, t_max: int, stride: int = 1) -> MixingProfile:
     what = f"t_max={t_max} with k={params.k}"
     if t_max // stride + 1 > _CURVE_ROWS:
         raise ValueError(f"{what} and stride={stride} is beyond the cap of {_CURVE_ROWS} rows")
-    _refuse_stepping(t_max, params.k, what, ValueError)
+    _refuse_stepping(_stepping_ns(t_max, params.k), what, ValueError)
     kernel = build_kernel(params)
     pi = equilibrium(params)
     stepper = _Stepper(kernel, delta_at(params.k, params.k + 1))
@@ -489,25 +491,27 @@ def d_curve(params: ModelParams, t_max: int, stride: int = 1) -> MixingProfile:
     return MixingProfile(params, times, tv, stride)
 
 
-def laws_at(params: ModelParams, times) -> dict[int, np.ndarray]:
-    """Exact law of W_t from W_0 = k at each requested t, in one pass.
+def distances_at(params: ModelParams, times) -> dict[int, float]:
+    """Exact d(t) from W_0 = k at each requested t, in one pass.
 
     One stride-1 evolution visits the times in increasing order, so each
-    law is bit-identical to evolving the point mass t steps in one call.
-    Times whose max(t) steps are estimated beyond the stepping cap
+    law is bit-identical to evolving the point mass t steps in one call,
+    and d(t) is its :func:`tv_distance` to :func:`equilibrium`.  Times whose
+    max(t) steps are estimated beyond the stepping cap
     (``_STEPPING_CAP_NS``) raise ValueError before any step.
     """
     targets = sorted(set(times))
     last = max(targets, default=0)
-    _refuse_stepping(last, params.k, f"t={last} with k={params.k}", ValueError)
+    _refuse_stepping(_stepping_ns(last, params.k), f"t={last} with k={params.k}", ValueError)
     kernel = build_kernel(params)
+    pi = equilibrium(params)
     p = delta_at(params.k, params.k + 1)
-    out: dict[int, np.ndarray] = {}
+    out: dict[int, float] = {}
     t = 0
     for target in targets:
         p = evolve(p, kernel, target - t)
         t = target
-        out[target] = p
+        out[target] = tv_distance(p, pi)
     return out
 
 
@@ -712,7 +716,7 @@ def mixing_times(params: ModelParams, eps_values: tuple[float, ...] | list[float
             if found is None:
                 what = f"eps={eps_list[0]} is not decided by the eigen-expansion from t={t}"
                 what += f", and stepping on to the horizon {horizon}"
-                _refuse_stepping(horizon - t, params.k, what, RuntimeError)
+                _refuse_stepping(_stepping_ns(horizon - t, params.k), what, RuntimeError)
                 stepped = eps_list[0]
             elif found > horizon:
                 break

@@ -21,6 +21,7 @@ import io
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Any
 
@@ -58,6 +59,13 @@ _CONVERSIONS = {float: "%.17g", int: "%d", str: "%s"}
 
 #: Rows rendered at a time; bounds the row objects and strings held at once.
 _CHUNK_ROWS = 1024
+
+#: Cell types that ``json.dumps`` with ``indent`` None (the C encoder) writes
+#: as the indenting encoder does, and the breaks between the cells and the
+#: rows of the json text's "rows" array.
+_JSON_CELLS = {int, float, str, bool, type(None)}
+_CELL_BREAK = ",\n      "
+_ROW_BREAK = "\n    ],\n    [\n      "
 
 #: Characters handed to a text stream per write, so that it never
 #: encodes a second copy of the whole text.
@@ -116,7 +124,10 @@ def to_json_text(record: ResultRecord) -> str:
     "rows" sorts last among the payload's keys, so the text is the rest
     of the payload with the rows' array appended before its closing
     brace; each chunk's array loses its brackets and is indented one
-    level deeper (a JSON string holds no raw line break).
+    level deeper (a JSON string holds no raw line break).  A chunk of
+    nonempty rows of ``_JSON_CELLS`` cells is dumped by the C encoder
+    (``indent`` None) with the indented cell break as its separator, and
+    "]" + that break + "[", which only a row break can hold, is replaced.
     """
     head = json.dumps(
         {"experiment": record.experiment, "meta": record.meta, "columns": record.columns},
@@ -126,8 +137,13 @@ def to_json_text(record: ResultRecord) -> str:
     parts = [head[:-2], ',\n  "rows": [']
     for start in range(0, len(record.rows), _CHUNK_ROWS):
         chunk = [list(row) for row in record.rows[start : start + _CHUNK_ROWS]]
-        text = json.dumps(chunk, sort_keys=True, indent=2)
-        parts += ("," if start else "", text[1:-2].replace("\n", "\n  "))
+        if all(chunk) and set(map(type, chain.from_iterable(chunk))) <= _JSON_CELLS:
+            text = json.dumps(chunk, separators=(_CELL_BREAK, ": "))
+            text = "\n    [\n      " + text[2:-2].replace("]" + _CELL_BREAK + "[", _ROW_BREAK)
+            text += "\n    ]"
+        else:
+            text = json.dumps(chunk, sort_keys=True, indent=2)[1:-2].replace("\n", "\n  ")
+        parts += ("," if start else "", text)
     parts.append("\n  ]\n}\n" if record.rows else "]\n}\n")
     return "".join(parts)
 

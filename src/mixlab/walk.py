@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lumped import _refuse_stepping
+
 #: Brute-force dynamic program is quadratic in steps; keep it honest.
 _BRUTEFORCE_STEP_CAP = 10_000
 
@@ -48,6 +50,15 @@ _TAIL_LOG = 65.0 * math.log(2.0)
 #: one array.
 _SPREAD_ENTRIES = 1 << 12
 _WEIGHT_ROWS = 1 << 16
+
+#: :func:`survival_exact` is estimated at _MOVE_NS per move count of its
+#: window plus _ENTRY_NS per window entry (a move count times (m + 1) // 2
+#: offsets), and refused beyond lumped's stepping cap of 300 s: an upper
+#: envelope of 70-76 ns per move count at m = 1, 217-305 at 11, 948-1076
+#: at 101 and 6907-7790 at 1001 (q 0.5, best and worst of 3, 2-core Xeon),
+#: estimated 230, 380, 1730 and 15230.
+_MOVE_NS = 200
+_ENTRY_NS = 30
 
 #: Jumps drawn per running replica and round of the hitting sampler:
 #: eight random bytes of fair signs.
@@ -204,7 +215,9 @@ def survival_exact(m: int, steps: int, q: float) -> float:
     O(m sqrt(steps q)) and the memory O(m + 2^16).  By Hoeffding's
     inequality the window misses at most 2 exp(-m^2 / (2 M)) of
     Bin(M, 1/2), so m^2 > 112 log(2) M for the largest M of the Bernstein
-    window makes every miss less than 2^-55, and gives 1 at once.
+    window makes every miss less than 2^-55, and gives 1 at once.  Otherwise
+    a sum estimated beyond the cap (see ``_MOVE_NS``) raises ValueError
+    before anything is allocated.
     """
     _validate(m, steps, q)
     window = _bernstein_window(steps, q)
@@ -212,6 +225,9 @@ def survival_exact(m: int, steps: int, q: float) -> float:
         # every window misses less than 2^-55 of its mass: 1 - 2^-55 rounds to 1
         return 1.0
     width = (m + 1) // 2
+    estimate = (window[2] - window[0] + 1) * (_MOVE_NS + _ENTRY_NS * width)
+    what = f"the exact survival with m={m}, steps={steps} and q={q}"
+    _refuse_stepping(estimate, what, ValueError, "summing")
     offsets = np.arange(1, width + 1)
     rows = max(16, _SPREAD_ENTRIES // width)
     total = mass = 0.0

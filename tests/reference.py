@@ -10,7 +10,9 @@ routes to exact quantities: the walk's survival through the regularized
 incomplete beta function, and the swap chain's one-step matrix as a
 ``scipy.sparse`` matrix with the law stepped by sparse products.  The
 walk's survival at small move probabilities, where the beta-function
-route cancels, is also summed in 50-digit decimals.  Last, a record's
+route cancels, is also summed in 50-digit decimals.  The mean-gap bound
+on d(t) is also taken from the moments of a stepped law rather than
+from their closed forms.  Last, a record's
 csv and json texts are written whole, cell by cell through
 ``csv.writer`` and in one ``json.dumps``, and a tv-curve record's rows
 are built as one list.
@@ -293,6 +295,19 @@ def survival_decimal(m: int, steps: int, q: float) -> float:
                 break
             weight *= odds * (steps - moves) / (moves + 1)
         return float(total)
+
+
+def mean_gap_bound_of_law(mu: np.ndarray, pi: np.ndarray) -> float:
+    """The mean-separation lower bound on TV(mu, pi) from the two laws'
+    moments: gap^2 / (gap^2 + 2 Var_mu + 2 Var_pi), 0 when the means
+    coincide (see :func:`mixlab.lumped.mean_gap_bound`)."""
+    values = np.arange(mu.size, dtype=float)
+    means = [float(law @ values) for law in (mu, pi)]
+    variances = [float(law @ (values * values)) - m * m for law, m in zip((mu, pi), means)]
+    gap = means[0] - means[1]
+    if gap == 0.0:
+        return 0.0
+    return min(1.0, gap * gap / (gap * gap + 2.0 * sum(variances)))
 
 
 def transition_csr(params, mode: str) -> tuple[list, sparse.csr_matrix]:

@@ -54,14 +54,16 @@ def test_02_moment_identities():
     """
     start = time.perf_counter()
     worst = 0.0
-    witness = lumped.moment_curves(ModelParams(4, 2), 1)[1][1]
+    witness_mean, witness_var = lumped.moments_at(ModelParams(4, 2), 1)
+    witness = witness_var + witness_mean**2
     for n in (4, 10, 100, 1000):
         for k in range(1, n // 2 + 1):
             params = ModelParams(n, k)
             kernel = lumped.build_kernel(params)
             for w0 in {0, k // 2, k}:
                 p = lumped.delta_at(w0, k + 1)
-                mean_t, second_t = lumped.moment_curves(params, 100, w0)
+                mean_t, var_t = lumped.moments_at(params, np.arange(101), w0)
+                second_t = var_t + mean_t**2
                 prev = 0
                 for t in (0, 1, 2, 5, 10, 100):
                     p = lumped.evolve(p, kernel, t - prev)
@@ -295,9 +297,7 @@ def test_09_coupling_bounds_exact_d():
     t_c = math.floor(center_large_k(1000))
     # t_c - 2n is negative at this size; clamp to 0 where d(0) = 1 trivially
     ts = [max(0, t_c - 2000), t_c, t_c + 2000]
-    pi = lumped.equilibrium(params)
-    laws = lumped.laws_at(params, ts)
-    d_exact = {t: lumped.tv_distance(law, pi) for t, law in laws.items()}
+    d_exact = lumped.distances_at(params, ts)
     estimates = coupling_mod.coupling_tv_upper_bound(
         params, ts, 100_000, replica_stream(SEED, 9, 0)
     )
@@ -386,15 +386,14 @@ def test_12_lower_bound_dominance():
         (1000, 10, (200, 800, 1600)),
     ):
         params = ModelParams(n, k)
-        pi = lumped.equilibrium(params)
-        laws = lumped.laws_at(params, ts)
+        distances = lumped.distances_at(params, ts)
         for t in sorted(ts):
             coupon = bounds_mod.unlabeled_tv_lower_bound(
                 params, t, replicas=20_000, rng=replica_stream(SEED, 12, sub)
             )
             sub += 1
-            mean_gap = lumped.tv_lower_bound_second_moment(laws[t], pi)
-            d_exact = lumped.tv_distance(laws[t], pi)
+            mean_gap = lumped.mean_gap_bound(params, t)
+            d_exact = distances[t]
             for name, value in (
                 ("coupon", coupon.value),
                 ("coupon-chebyshev", coupon.chebyshev),

@@ -426,14 +426,20 @@ def test_csv_rows_match_the_cell_by_cell_writer():
 
 
 def test_json_text_is_one_dump_of_the_payload():
-    """Rows dumped a chunk at a time give the bytes of one json.dumps."""
+    """Rows dumped a chunk at a time give the bytes of one json.dumps,
+    through the C encoder where a chunk's cells allow it and through the
+    indenting encoder where a chunk holds another type or an empty row."""
     odd = [
         -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.0 / 3.0, 2**70, -7, True, False, None,
-        "", 'say "x"', "two\nlines", "cr\r", "\u00e9", np.float64(0.1),
+        "", 'say "x"', "two\nlines", "cr\r", "\u00e9", "]", "],\n      [", "[1, 2]",
     ]
-    rows = [(t, t / 7.0, "") for t in range(2049)]
+    rows = [(t, t / 7.0, "") for t in range(5000)]
     for i, value in enumerate(odd):
-        rows[1023 + i] = (i, value, "")  # odd cells across a chunk boundary
+        rows[1020 + i] = (i, value, "")  # odd cells across a chunk boundary
+    # chunks for the indenting encoder: a float subclass, a nested list, an empty row
+    rows[2100] = (1, np.float64(0.1), "")
+    rows[3100] = (2, [0.5, [None, "]"]], "")
+    rows[4100] = ()
     for meta, body in (({}, []), ({"k": None}, [(1, 0.5)]), ({"b": 1, "a": "x"}, rows)):
         record = ResultRecord("x", meta, ["a", "b", "c"], body)
         assert to_json_text(record) == json_reference(record)

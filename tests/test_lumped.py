@@ -1,6 +1,7 @@
 """Lumped birth-death kernel: equilibrium, moments, mixing curves."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,17 +17,17 @@ from mixlab.lumped import (
     delta_at,
     dist_mean,
     dist_second_moment,
-    dist_variance,
+    distances_at,
     eigenfunction_check,
     equilibrium,
     evolve,
-    laws_at,
+    mean_gap_bound,
     mixing_times,
-    moment_curves,
+    moments_at,
     t_mix,
     tv_distance,
-    tv_lower_bound_second_moment,
 )
+from reference import mean_gap_bound_of_law
 
 
 def test_kernel_frozen_example():
@@ -153,18 +154,16 @@ def test_tv_distance_properties():
 
 def test_moment_closed_forms_frozen():
     params = ModelParams(4, 2)
-    assert moment_curves(params, 0, 2)[0][0] == 2.0
-    assert moment_curves(params, 1, 2)[0][1] == pytest.approx(1.5, abs=1e-15)
+    assert moments_at(params, 0, 2) == (2.0, 0.0)
+    assert moments_at(params, 1, 2)[0] == pytest.approx(1.5, abs=1e-15)
     # the corrected-constant witness: E[W_1^2] from W_0 = 2 is 2.5
-    assert moment_curves(params, 1)[1][1] == pytest.approx(2.5, abs=1e-14)
+    mean, var = moments_at(params, 1)
+    assert var + mean * mean == pytest.approx(2.5, abs=1e-14)
     # the t -> infinity limits are the stationary moments
     pi = equilibrium(params)
-    assert moment_curves(params, 10_000, 2)[0][10_000] == pytest.approx(
-        float(np.arange(3) @ pi), abs=1e-12
-    )
-    assert moment_curves(params, 10_000)[1][10_000] == pytest.approx(
-        float((np.arange(3) ** 2) @ pi), abs=1e-12
-    )
+    mean, var = moments_at(params, 10_000, 2)
+    assert mean == pytest.approx(float(np.arange(3) @ pi), abs=1e-12)
+    assert var + mean * mean == pytest.approx(float((np.arange(3) ** 2) @ pi), abs=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(10, 4), (100, 31)])
@@ -173,69 +172,102 @@ def test_moment_closed_forms_match_evolution(n, k, w0):
     params = ModelParams(n, k)
     kernel = build_kernel(params)
     p = delta_at(w0, k + 1)
-    mean, second = moment_curves(params, 39, w0)
+    mean, var = moments_at(params, np.arange(40), w0)
     for t in range(40):
         assert dist_mean(p) == pytest.approx(mean[t], rel=1e-12, abs=1e-12)
-        assert dist_second_moment(p) == pytest.approx(second[t], rel=1e-12, abs=1e-12)
+        assert dist_second_moment(p) == pytest.approx(
+            var[t] + mean[t] ** 2, rel=1e-12, abs=1e-12
+        )
         p = evolve(p, kernel, 1)
 
 
-def _mean_per_t(params, w0, t):
-    """E[W_t] as computed before the one-pass curves: a closed form per t."""
-    n, k = params.n, params.k
-    fixed = k * k / n
-    return (w0 - fixed) * (1.0 - 2.0 / n) ** t + fixed
+def _exact_moments(n, k, w0, t_max):
+    """(E[W_t], Var(W_t)) for t = 0..t_max as fractions, from the law
+    stepped in integers: entry i of ``law`` is n^(2t) P[W_t = i]."""
+    nsq = n * n
+    up = [2 * (k - i) ** 2 for i in range(k + 1)]
+    down = [2 * i * (n - 2 * k + i) for i in range(k + 1)]
+    law = [0] * (k + 1)
+    law[w0] = 1
+    out = []
+    for t in range(t_max + 1):
+        scale = nsq**t
+        mean = Fraction(sum(i * x for i, x in enumerate(law)), scale)
+        second = Fraction(sum(i * i * x for i, x in enumerate(law)), scale)
+        out.append((mean, second - mean * mean))
+        law = [
+            x * (nsq - up[i] - down[i])
+            + (law[i - 1] * up[i - 1] if i else 0)
+            + (law[i + 1] * down[i + 1] if i < k else 0)
+            for i, x in enumerate(law)
+        ]
+    return out
 
 
-def _second_per_t(params, t, w0):
-    """E[W_t^2] as computed before the one-pass curves: the recursion rerun from 0."""
-    n, k = params.n, params.k
-    nf = float(n)
-    factor = (1.0 - 2.0 / nf) ** 2
-    lin = 4.0 * k * k / nf**2 - 8.0 * k / nf**2 + 2.0 / nf
-    const = 2.0 * k * k / nf**2
-    m2 = float(w0 * w0)
-    m1 = float(w0)
-    decay = 1.0 - 2.0 / nf
-    fixed = k * k / nf
-    for _ in range(t):
-        m2 = factor * m2 + lin * m1 + const
-        m1 = decay * (m1 - fixed) + fixed
-    return m2
+def test_moments_at_match_exact_rational_stepping():
+    """Every (n, k) with n <= 30, n = 2 included, from three starts: the
+    closed forms are within 2e-15 of E[W_t^2] of the exact moments."""
+    worst = 0.0
+    for n in range(2, 31):
+        for k in range(1, n // 2 + 1):
+            for w0 in {0, k // 2, k}:
+                mean, var = moments_at(ModelParams(n, k), np.arange(61), w0)
+                for t, (exact_mean, exact_var) in enumerate(_exact_moments(n, k, w0, 60)):
+                    scale = max(1.0, float(exact_var + exact_mean**2))
+                    worst = max(
+                        worst,
+                        abs(mean[t] - float(exact_mean)) / scale,
+                        abs(var[t] - float(exact_var)) / scale,
+                    )
+    assert worst <= 2e-15
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (10, 4), (100, 31), (1000, 200)])
 def test_moment_curves_keep_the_bits_of_the_per_t_forms(n, k):
+    """A curve over t = 0..10 000 holds, at each t, the bits of moments_at at that t alone."""
     params = ModelParams(n, k)
     for w0 in (0, k):
-        mean, second = moment_curves(params, 10_000, w0)
-        assert len(mean) == len(second) == 10_001
+        mean, var = moments_at(params, np.arange(10_001), w0)
+        assert mean.shape == var.shape == (10_001,)
         for t in (0, 1, 37, 10_000):
-            assert mean[t] == _mean_per_t(params, w0, t)
-            assert second[t] == _second_per_t(params, t, w0)
+            assert (mean[t], var[t]) == moments_at(params, t, w0)
 
 
-def test_moment_curves_validation():
+@pytest.mark.parametrize("n,k,times", [
+    (2000, 400, (1, 10, 100, 1000, 4000, 6000)),
+    (20_000, 283, (1, 100, 30_000, 60_000)),
+    (100_000, 20_000, (1, 10, 1000, 5000)),
+], ids=["2000-400", "20000-283", "100000-20000"])
+def test_moments_at_match_the_stepped_law_at_scale(n, k, times):
+    """Against the moments of the stepped law, relative to E[W_t^2]: the
+    stepped variance E[W^2] - E[W]^2 cancels there, the closed form does not."""
+    params = ModelParams(n, k)
+    kernel = build_kernel(params)
+    p, done = delta_at(k, k + 1), 0
+    for t in times:
+        p, done = evolve(p, kernel, t - done), t
+        second = dist_second_moment(p)
+        mean, var = moments_at(params, t)
+        assert abs(mean - dist_mean(p)) <= 1e-12 * second
+        assert abs(var + mean * mean - second) <= 1e-12 * second
+
+
+def test_moments_at_validation():
     params = ModelParams(10, 4)
-    assert moment_curves(params, 0) == ([4.0], [16.0])
-    for args in ((-1,), (3, -1), (3, 5)):
+    assert moments_at(params, 0) == (4.0, 0.0)
+    mean, var = moments_at(params, [0, 3])
+    assert mean.shape == var.shape == (2,)
+    for args in ((-1,), ([3, -1],), (3, -1), (3, 5)):
         with pytest.raises(ValueError):
-            moment_curves(params, *args)
+            moments_at(params, *args)
 
 
 def test_mean_decays_monotonically_from_packed_start():
     params = ModelParams(50, 10)
     target = 10 * 10 / 50.0
-    means = moment_curves(params, 59, 10)[0]
-    assert all(a > b for a, b in zip(means, means[1:]))
-    assert all(m > target for m in means)
-
-
-def test_dist_variance_consistency():
-    pi = equilibrium(ModelParams(30, 6))
-    var = dist_variance(pi)
-    assert var == pytest.approx(dist_second_moment(pi) - dist_mean(pi) ** 2, abs=1e-12)
-    assert var > 0
+    means = moments_at(params, np.arange(60), 10)[0]
+    assert (np.diff(means) < 0).all()
+    assert (means > target).all()
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (1000, 200), (100_000, 50_000)])
@@ -265,16 +297,16 @@ def test_d_curve_stride_subsamples():
         d_curve(params, 10, stride=0)
 
 
-def test_laws_at_matches_one_call_evolution():
+def test_distances_at_match_one_call_evolution():
     """One pass over sorted times gives the bits of evolving each t afresh."""
     params = ModelParams(60, 12)
-    kernel = build_kernel(params)
-    laws = laws_at(params, [40, 0, 7, 40, 150])
-    assert sorted(laws) == [0, 7, 40, 150]
-    for t, law in laws.items():
-        np.testing.assert_array_equal(law, evolve(delta_at(12, 13), kernel, t))
+    kernel, pi = build_kernel(params), equilibrium(params)
+    distances = distances_at(params, [40, 0, 7, 40, 150])
+    assert sorted(distances) == [0, 7, 40, 150]
+    for t, d in distances.items():
+        assert d == tv_distance(evolve(delta_at(12, 13), kernel, t), pi)
     with pytest.raises(ValueError):
-        laws_at(params, [-1])
+        distances_at(params, [-1])
 
 
 def _stepping_estimate(steps, k):
@@ -284,10 +316,10 @@ def _stepping_estimate(steps, k):
 
 @pytest.mark.parametrize("call, prefix", [
     (lambda params: d_curve(params, 150, stride=7), "t_max=150 with k=12 "),
-    (lambda params: laws_at(params, [150, 7]), "t=150 with k=12 "),
-], ids=["d_curve", "laws_at"])
+    (lambda params: distances_at(params, [150, 7]), "t=150 with k=12 "),
+], ids=["d_curve", "distances_at"])
 def test_stepping_runs_at_the_cap_and_is_refused_below_it(monkeypatch, call, prefix):
-    """A curve or laws to t = 150 are given when the cap is exactly the
+    """A curve or distances to t = 150 are given when the cap is exactly the
     estimate of 150 steps, and refused in one line, before any step or
     allocation, when the cap is one nanosecond below it."""
     params = ModelParams(60, 12)
@@ -307,7 +339,7 @@ def test_stepping_cap_refuses_what_the_state_step_cap_did():
     for k in (10, 283, 2000, 20_000, 200_000):
         steps = 10**11 // (k + 1) + 1
         with pytest.raises(ValueError, match=rf"^t={steps} with k={k} is beyond the cap of 300 s "):
-            laws_at(ModelParams(10 * k, k), [steps])
+            distances_at(ModelParams(10 * k, k), [steps])
 
 
 TINY = np.finfo(float).tiny
@@ -379,8 +411,7 @@ def test_evolve_returns_no_subnormal_entries():
         law = evolve(p0, kernel, steps)
         assert not _has_subnormal(law)
         assert law.min() >= 0.0
-    for law in laws_at(params, [0, 4000, 6000]).values():
-        assert not _has_subnormal(law)
+    assert not _has_subnormal(evolve(evolve(delta_at(400, 401), kernel, 4000), kernel, 2000))
     # between two far modes the law holds subnormals that no window edge reaches
     far = ModelParams(10**6, 400)
     p0 = np.zeros(401)
@@ -651,24 +682,39 @@ def test_mixing_times_validation(monkeypatch):
 
 def test_variance_bound_report():
     """Var(W_t) <= C k^2/n + e^gamma k/sqrt(n) at t = floor(n log n / 4 - gamma n / 2),
-    with C = 10 and gamma = 0, on the exactly evolved law from W = k."""
+    with C = 10 and gamma = 0, on the closed-form variance of W_t from W = k."""
     n, k, gamma = 1000, 200, 0.0
     t = math.floor(0.25 * n * math.log(n) - 0.5 * gamma * n)
     assert t == 1726
-    variance = dist_variance(evolve(delta_at(k, k + 1), build_kernel(ModelParams(n, k)), t))
+    variance = moments_at(ModelParams(n, k), t)[1]
     assert variance < 10.0 * k * k / n + math.exp(gamma) * k / math.sqrt(n)
 
 
 def test_second_moment_lower_bound_dominated_by_tv():
     params = ModelParams(50, 10)
-    kernel = build_kernel(params)
-    pi = equilibrium(params)
-    p = delta_at(10, 11)
-    for _ in range(120):
-        bound = tv_lower_bound_second_moment(p, pi)
+    distances = distances_at(params, range(120))
+    for t, d in distances.items():
+        bound = mean_gap_bound(params, t)
         assert 0.0 <= bound < 1.0
-        assert bound <= tv_distance(p, pi) + 1e-12
-        p = evolve(p, kernel, 1)
+        assert bound <= d + 1e-12
+
+
+def test_mean_gap_bound_matches_the_law_based_bound():
+    """The closed-form bound is within 1e-12 of the bound from the stepped
+    law's moments, at the benchmark's bounds sizes and acceptance's grid."""
+    for n, k, times in (
+        (10_000, 100, (12_000, 18_000)),
+        (1000, 200, (1500, 2500)),
+        (30, 6, (1, 5, 15, 40, 120)),
+        (100, 20, (5, 25, 60, 150)),
+        (1000, 31, (300, 900, 1700, 3000)),
+        (1000, 10, (200, 800, 1600)),
+    ):
+        params = ModelParams(n, k)
+        kernel, pi = build_kernel(params), equilibrium(params)
+        for t in times:
+            law = evolve(delta_at(k, k + 1), kernel, t)
+            assert abs(mean_gap_bound(params, t) - mean_gap_bound_of_law(law, pi)) <= 1e-12
 
 
 def test_delta_at():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from mixlab import ModelParams, replica_stream, walk
+from mixlab import ModelParams, lumped, replica_stream, walk
 from mixlab.coupling import _geometric_from_uniform, build_coupled_kernel, merge_time_samples
 from mixlab.walk import (
     WalkParams,
@@ -145,6 +145,24 @@ def test_exact_memory_is_bounded_by_a_block():
         tracemalloc.stop()
     assert peak < 8_000_000
     assert value == pytest.approx(math.sqrt(2.0 / (math.pi * 0.5e11)), rel=1e-9)
+
+
+def test_exact_runs_at_the_cap_and_is_refused_below_it(monkeypatch):
+    """A survival sum is given when the cap is exactly its estimate, and
+    refused in one line before any sum when the cap is one nanosecond
+    below it; the shortcut to 1 is never refused."""
+    m, steps, q = 11, 10**6, 0.5
+    lo, _, hi = walk._bernstein_window(steps, q)
+    estimate = (hi - lo + 1) * (walk._MOVE_NS + walk._ENTRY_NS * ((m + 1) // 2))
+    monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate)
+    assert survival_exact(m, steps, q) == pytest.approx(survival_betainc(m, steps, q), abs=1e-14)
+    monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate - 1)
+    monkeypatch.setattr(walk, "_binomial_weights", None)  # so that any sum fails
+    with pytest.raises(ValueError, match=r"^the exact survival with m=11, steps=1000000 and "
+                                         r"q=0.5 is beyond the cap of \d+ s of summing, "
+                                         r"at an estimated \d+ s$"):
+        survival_exact(m, steps, q)
+    assert survival_exact(10**12, 10**6, 0.5) == 1.0
 
 
 def test_exact_across_the_full_window_shortcut(monkeypatch):
