@@ -251,6 +251,18 @@ def test_cli_oracle_check_reports_violations(tmp_path):
     assert "fail" in out.read_text(encoding="utf-8")
 
 
+def test_cli_oracle_check_at_the_t_max_bound(tmp_path):
+    """t_max at its bound of 10 000 steps one array of laws per instance, in seconds."""
+    cfg = _write_config(tmp_path, "c.json", {"kind": "oracle-check", "n_max": 2, "t_max": 10_000})
+    start = time.monotonic()
+    result = _run_cli(["oracle-check", "--config", cfg], tmp_path)
+    assert time.monotonic() - start < 10.0
+    assert result.returncode == 0, result.stderr
+    body = [ln for ln in result.stdout.splitlines() if ln and not ln.startswith("#")]
+    assert "# t_max=10000" in result.stdout.splitlines()
+    assert {ln.split(",")[-1] for ln in body[1:]} == {"pass"}
+
+
 def test_oracle_check_localizes_a_corrupted_kernel():
     """A lazified kernel breaks exactly the identities that feel the rate.
 
@@ -448,12 +460,15 @@ def test_cli_coupling_refuses_a_time_beyond_the_stepping_cap(tmp_path):
     ({"kind": "hitting", "m": 1, "q": 0.5, "steps_values": [4 * 10**18]},
      "error: the exact survival with m=1, steps=4000000000000000000 and q=0.5 is beyond "
      "the cap of 300 s of summing, "),
-], ids=["coupling", "tv-curve", "bounds", "hitting"])
+    ({"kind": "oracle-check", "t_max": 10**8},
+     "config error: 't_max' must be <= 10000, got 100000000\n"),
+], ids=["coupling", "tv-curve", "bounds", "hitting", "oracle-check"])
 def test_cli_refuses_hours_of_work_at_once(tmp_path, payload, prefix):
     """Stepping 10^9 times at k = 10 (about 10^4 s estimated), drawing
-    2*10^10 collector waits (12 to 14 minutes) or summing the walk's
-    survival over 1.9*10^10 move counts (73 minutes estimated) is exit 1
-    with one line, in seconds; the hitting run draws no sample first."""
+    2*10^10 collector waits (12 to 14 minutes), summing the walk's
+    survival over 1.9*10^10 move counts (73 minutes estimated) or an
+    oracle check to t = 10^8 is exit 1 with one line, in seconds; the
+    hitting run draws no sample first."""
     cfg = _write_config(tmp_path, "c.json", payload)
     start = time.monotonic()
     result = _run_cli([payload["kind"], "--config", cfg], tmp_path)

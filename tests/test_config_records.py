@@ -324,6 +324,11 @@ def test_parse_oracle_check_ranges():
     with pytest.raises(ConfigError) as exc_info:
         parse_config(dict(MINIMAL["oracle-check"], walk_m_max=201))
     assert exc_info.value.problems == ["'walk_m_max' must be <= 200, got 201"]
+    # the cap: t_max at 10 000 keeps each instance's array of laws under 400 KB
+    assert parse_config(dict(MINIMAL["oracle-check"], t_max=10_000)).t_max == 10_000
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(dict(MINIMAL["oracle-check"], t_max=10_001))
+    assert exc_info.value.problems == ["'t_max' must be <= 10000, got 10001"]
 
 
 def test_k_from_rule():

@@ -9,14 +9,14 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from mixlab import ModelParams, lumped
+from mixlab.config import parse_config
+from mixlab.experiments import run_oracle_check
 from mixlab.lumped import (
     BirthDeathKernel,
     build_kernel,
     check_distribution,
     d_curve,
     delta_at,
-    dist_mean,
-    dist_second_moment,
     distances_at,
     eigenfunction_check,
     equilibrium,
@@ -172,12 +172,11 @@ def test_moment_closed_forms_match_evolution(n, k, w0):
     params = ModelParams(n, k)
     kernel = build_kernel(params)
     p = delta_at(w0, k + 1)
+    values = np.arange(k + 1, dtype=float)
     mean, var = moments_at(params, np.arange(40), w0)
     for t in range(40):
-        assert dist_mean(p) == pytest.approx(mean[t], rel=1e-12, abs=1e-12)
-        assert dist_second_moment(p) == pytest.approx(
-            var[t] + mean[t] ** 2, rel=1e-12, abs=1e-12
-        )
+        assert p @ values == pytest.approx(mean[t], rel=1e-12, abs=1e-12)
+        assert p @ values**2 == pytest.approx(var[t] + mean[t] ** 2, rel=1e-12, abs=1e-12)
         p = evolve(p, kernel, 1)
 
 
@@ -244,11 +243,12 @@ def test_moments_at_match_the_stepped_law_at_scale(n, k, times):
     params = ModelParams(n, k)
     kernel = build_kernel(params)
     p, done = delta_at(k, k + 1), 0
+    values = np.arange(k + 1, dtype=float)
     for t in times:
         p, done = evolve(p, kernel, t - done), t
-        second = dist_second_moment(p)
+        second = p @ values**2
         mean, var = moments_at(params, t)
-        assert abs(mean - dist_mean(p)) <= 1e-12 * second
+        assert abs(mean - p @ values) <= 1e-12 * second
         assert abs(var + mean * mean - second) <= 1e-12 * second
 
 
@@ -484,15 +484,15 @@ def test_d_curve_rejects_a_rise_beyond_wobble(monkeypatch):
         d_curve(params, 3)
 
 
-def _leaky_kernel(params):
-    """The exact kernel with every stay raised by 1e-9, so mass grows each step."""
+def _leaky_kernel(params, leak=1e-9):
+    """The exact kernel with every stay raised by ``leak``, so mass grows each step."""
     kernel = build_kernel(params)
-    return BirthDeathKernel(params, kernel.up, kernel.down, kernel.stay + 1e-9)
+    return BirthDeathKernel(params, kernel.up, kernel.down, kernel.stay + leak)
 
 
 def test_mass_drift_is_an_error_not_rescaled(monkeypatch):
     """A law that gains mass raises where it leaves the engine: evolve's
-    result, and the laws behind d_curve and mixing_times."""
+    result, and the laws behind d_curve, mixing_times and oracle-check."""
     params = ModelParams(40, 8)
     with pytest.raises(RuntimeError, match="mass drifted from 1 by"):
         evolve(delta_at(8, 9), _leaky_kernel(params), 200)
@@ -501,6 +501,23 @@ def test_mass_drift_is_an_error_not_rescaled(monkeypatch):
         d_curve(params, 200)
     with pytest.raises(RuntimeError, match="mass drifted from 1 by"):
         mixing_times(params, (0.1,))
+    # a leak that one step of evolve, oracle-check's stationarity identity, lets through
+    monkeypatch.setattr(lumped, "build_kernel", lambda params: _leaky_kernel(params, 2e-11))
+    with pytest.raises(RuntimeError, match="mass drifted from 1 by"):
+        run_oracle_check(parse_config({"kind": "oracle-check", "n_max": 4, "t_max": 30}))
+
+
+def test_mass_check_allows_the_rounding_of_the_steps_taken(monkeypatch):
+    """Stepping rounds the mass by about 3e-12 over 10^5 steps at (10^7, 2).
+    With the constant part of the check cut to 1e-13, the 8u allowed per
+    step taken lets that law through; the steps are counted per advance."""
+    monkeypatch.setattr(lumped, "_MASS_HARD", 1e-13)
+    law = evolve(delta_at(2, 3), build_kernel(ModelParams(10**7, 2)), 10**5)
+    assert 1e-13 < abs(law.sum() - 1.0) <= 1e-13 + 8 * np.finfo(float).eps * 10**5
+    stepper = lumped._Stepper(build_kernel(ModelParams(10, 2)), delta_at(2, 3))
+    stepper.advance(7, np.empty((4, 3)))
+    stepper.advance(5)
+    assert stepper.steps == 33
 
 
 def test_rise_of_the_true_curve_is_an_error(monkeypatch):
