@@ -50,17 +50,26 @@ _PAIR_MOVES = np.array([[1, 0, -1, 0], [0, -1, 0, 1]], dtype=np.int64)
 _HOLD_SATURATION = 2.0**62
 
 
-def _geometric_from_uniform(u: np.ndarray, log1m_q: np.ndarray | float) -> np.ndarray:
-    """Inverse-CDF geometric on {1, 2, ...}: floor(log(1-u)/log(1-q)) + 1.
+def _geometric_from_uniform(
+    u: np.ndarray, log1m_q: np.ndarray | float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse-CDF geometric on {0, 1, ...}: floor(log(1-u)/log(1-q)).
 
-    Monotone in the success probability for a fixed uniform: a smaller q
-    (flatter log) gives a pathwise larger value, which is what makes the
-    shared-uniform clock comparison work.  q = 1 (log1m_q = -inf) gives 1.
-    A tiny q can give values past int64: they saturate at 2**62 + 1,
-    which ends any replica with t_cap below 2**62 as late and keeps
-    clock plus hold inside int64; smaller values keep their bits.
+    The steps held before a jump, whose hold is this plus one.  Monotone
+    in the success probability for a fixed uniform: a smaller q (flatter
+    log) gives a pathwise larger value, which is what makes the
+    shared-uniform clock comparison work.  q = 1 (log1m_q = -inf) gives 0.
+    A tiny q can give values past int64: they saturate at 2**62, which
+    ends any replica with t_cap below 2**62 as late and keeps a clock
+    plus a hold inside int64; smaller values keep their bits.  The
+    quotient is nonnegative, so the int64 cast truncates it as floor
+    would.  The float work runs in ``out`` (which may be ``u`` itself)
+    or in a new array.
     """
-    return np.minimum(np.floor(np.log1p(-u) / log1m_q), _HOLD_SATURATION).astype(np.int64) + 1
+    held = np.negative(u, out=out)
+    np.log1p(held, out=held)
+    held /= log1m_q
+    return np.minimum(held, _HOLD_SATURATION, out=held).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -96,21 +105,34 @@ class CoupledKernel:
         return [(state, p) for state, p in row if p != 0.0]
 
     def skeleton_thresholds(
-        self, i: np.ndarray, j: np.ndarray
+        self, i: np.ndarray, j: np.ndarray, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Jump-chain splitting (a, b, c, q) for off-diagonal pair states.
 
         q is the total move probability; a, b, c are the cumulative
         fractions of the four moves in the order of ``_PAIR_MOVES``.
         D = W1 - W2 increases exactly on the first two intervals, so
-        b <= 1/2 always.
+        b <= 1/2 always.  Given ``out``, four float rows shaped like i,
+        the four are written there instead of into new arrays.
         """
         up, down = self.base.up, self.base.down
-        c1 = up[i]
-        c2 = c1 + down[j]
-        c3 = c2 + down[i]
-        q = c3 + up[j]
-        return c1 / q, c2 / q, c3 / q, q
+        a, b, c, q = (None,) * 4 if out is None else out
+        # a gather into ``out`` clips its indices rather than checking them,
+        # as under "raise" numpy first copies ``out``; the sampler's states
+        # stay inside 0..k, since up(k) = down(0) = 0
+        mode = "raise" if out is None else "clip"
+        # cumulative sums, then fractions, each in its gather's array
+        a = up.take(i, out=a, mode=mode)
+        b = down.take(j, out=b, mode=mode)
+        b += a
+        c = down.take(i, out=c, mode=mode)
+        c += b
+        q = up.take(j, out=q, mode=mode)
+        q += c
+        a /= q
+        b /= q
+        c /= q
+        return a, b, c, q
 
 
 def build_coupled_kernel(params: ModelParams) -> CoupledKernel:
@@ -167,49 +189,70 @@ def merge_time_samples(
 ) -> MergeSamples:
     """Vectorized joint-chain simulation from pair state (x, y).
 
-    Runs the pair through its jump chain: each jump draws its move and
-    then its geometric holding time from one uniform each, per running
-    replica, so hold steps cost nothing.  A replica leaves the batch when
-    it meets the diagonal, or with the state it held at t_cap when its
-    next jump lands after t_cap.  A start on the diagonal merges at 0
-    without a draw.
+    Runs the pair through its jump chain: each round draws, per running
+    replica, one move uniform and then one clock uniform, which pick the
+    jump and stretch into its geometric hold, so hold steps cost nothing.
+    A replica leaves the batch when it meets the diagonal, or with the
+    state it held at t_cap when its next jump lands after t_cap.  A start
+    on the diagonal merges at 0 without a draw.  Each round's float work
+    runs in place in buffers made once per call.
     """
     _check_batch(t_cap, replicas)
     if not (0 <= y <= x <= kernel.params.k):
         raise ValueError(f"start must satisfy 0 <= y <= x <= k, got ({x}, {y})")
-    state = np.repeat(np.array([[x], [y]], dtype=np.int64), replicas, axis=1)
+    w1 = np.full(replicas, x, dtype=np.int64)
+    w2 = np.full(replicas, y, dtype=np.int64)
     if x == y:
         tau = np.zeros(replicas, dtype=np.int64)
-        return MergeSamples(t_cap, tau, np.ones(replicas, dtype=bool), state[0], state[1])
+        return MergeSamples(t_cap, tau, np.ones(replicas, dtype=bool), w1, w2)
     tau = np.full(replicas, t_cap + 1, dtype=np.int64)
     merged = np.zeros(replicas, dtype=bool)
-    # working columns of the running replicas, whose indices are in gid
+    di, dj = _PAIR_MOVES
+    # the running replicas: their indices, pair states and held steps;
+    # every one has made the same number of jumps, so clock = waited + jumps
     gid = np.arange(replicas)
-    cur = state.copy()
-    clock = np.zeros(replicas, dtype=np.int64)
+    i, j = w1.copy(), w2.copy()
+    waited = np.zeros(replicas, dtype=np.int64)
+    jumps = 0
+    # the uniforms, thresholds and move steps sit in the head of buffers
+    # made once per call: made and freed each round, at 20 000 replicas
+    # they took 4*10^4 minor page faults per call (2*10^5 when freed in one
+    # del before the exit test), as the allocator gave their pages back
+    # and took them again; the buffers take a few hundred on a first call
+    work = np.empty((6, replicas))
+    step = np.empty(replicas, dtype=np.int64)
     while gid.size:
-        u_move, u_clock = rng.random(gid.size), rng.random(gid.size)
-        a, b, c, q = kernel.skeleton_thresholds(cur[0], cur[1])
-        move = (u_move >= a).astype(np.int8) + (u_move >= b) + (u_move >= c)
+        size = gid.size
+        u_move, u_clock = rng.random(out=work[0, :size]), rng.random(out=work[1, :size])
+        a, b, c, q = kernel.skeleton_thresholds(i, j, out=work[2:, :size])
+        move = (u_move >= a).view(np.int8)
+        move += u_move >= b
+        move += u_move >= c
         with np.errstate(divide="ignore"):
-            log1m_q = np.log1p(-q)  # -inf when q == 1 (single forced move)
-        clock += _geometric_from_uniform(u_clock, log1m_q)
-        nxt = cur + _PAIR_MOVES[:, move]
-        # freed before the compaction; freeing each once used lowered the
-        # peak but took about five times the minor page faults, and ran slower
-        del u_move, u_clock, a, b, c, q, move, log1m_q
-        late = clock > t_cap
-        done = (nxt[0] == nxt[1]) & ~late
-        still = ~(late | done)
-        if not still.all():
-            late, done = np.flatnonzero(late), np.flatnonzero(done)
-            tau[gid[done]] = clock[done]
+            log1m_q = np.log1p(np.negative(q, out=q), out=q)  # -inf when q == 1
+        waited += _geometric_from_uniform(u_clock, log1m_q, out=u_clock)
+        jumps += 1
+        i += di.take(move, out=step[:size], mode="clip")  # move is 0..3
+        j += dj.take(move, out=step[:size], mode="clip")
+        exit_ = waited > t_cap - jumps  # late: the jump lands after t_cap
+        exit_ |= i == j
+        if exit_.any():
+            out = np.flatnonzero(exit_)
+            is_late = waited[out] > t_cap - jumps
+            late, done = out[is_late], out[~is_late]
+            tau[gid[done]] = waited[done] + jumps
             merged[gid[done]] = True
-            state[:, gid[late]] = cur[:, late]
-            state[:, gid[done]] = nxt[:, done]
-            gid, nxt, clock = gid[still], nxt[:, still], clock[still]
-        cur = nxt
-    return MergeSamples(t_cap, tau, merged, state[0], state[1])
+            # a late replica holds, at t_cap, the state before its jump
+            w1[gid[late]] = i[late] - di.take(move[late])
+            w2[gid[late]] = j[late] - dj.take(move[late])
+            w1[gid[done]] = i[done]
+            w2[gid[done]] = j[done]
+            keep = ~exit_
+            gid = gid[keep]
+            i = i[keep]
+            j = j[keep]
+            waited = waited[keep]
+    return MergeSamples(t_cap, tau, merged, w1, w2)
 
 
 def coupling_tv_upper_bound(

@@ -86,7 +86,7 @@ def _pair_process(kernel: CoupledKernel, x: int, y: int, replicas: int) -> tuple
         move = (u_move >= a).astype(np.int8) + (u_move >= b) + (u_move >= c)
         with np.errstate(divide="ignore"):
             log1m_q = np.log1p(-q)  # -inf when q == 1 (single forced move)
-        return state + _PAIR_MOVES[:, move], _geometric_from_uniform(u_clock, log1m_q)
+        return state + _PAIR_MOVES[:, move], _geometric_from_uniform(u_clock, log1m_q) + 1
 
     state = np.repeat(np.array([[x], [y]], dtype=np.int64), replicas, axis=1)
     return state, jump, lambda pair: pair[0] == pair[1]
@@ -165,7 +165,7 @@ def _walk_process(start: np.ndarray, q: float) -> tuple:
     log1m_q = math.log1p(-q) if q < 1.0 else -math.inf
 
     def jump(pos, u_move, u_clock):
-        return pos + np.where(u_move < 0.5, 1, -1), _geometric_from_uniform(u_clock, log1m_q)
+        return pos + np.where(u_move < 0.5, 1, -1), _geometric_from_uniform(u_clock, log1m_q) + 1
 
     return start[np.newaxis], jump, lambda pos: pos[0] == 0
 

@@ -73,6 +73,18 @@ def test_move_thresholds_are_cumulative():
     assert (a >= 0).all() and (q > 0).all() and (q <= 1.0).all()
 
 
+def test_thresholds_written_into_buffers_have_the_same_bits():
+    coupled = build_coupled_kernel(ModelParams(60, 12))
+    ii, jj = np.tril_indices(13, k=-1)
+    out = np.full((4, ii.size), np.nan)
+    got = coupled.skeleton_thresholds(ii, jj, out=out)
+    for row, buffered, new in zip(out, got, coupled.skeleton_thresholds(ii, jj)):
+        assert np.shares_memory(buffered, row)
+        np.testing.assert_array_equal(row, new)
+    with pytest.raises(IndexError):  # without buffers an index past k is refused
+        coupled.skeleton_thresholds(np.array([13]), np.array([0]))
+
+
 @pytest.mark.parametrize("n,k", [(4, 2), (8, 3), (16, 5), (32, 16), (64, 21)])
 def test_jump_law_matches_transition_row_exactly(n, k):
     """The sampler's jump rate and move intervals give the joint kernel's row.

@@ -350,16 +350,34 @@ def _assert_same_run(got, ref, got_rng, ref_rng):
     assert got_rng.random() == ref_rng.random()  # the same number of uniforms drawn
 
 
-@pytest.mark.parametrize("x,y,t_cap", [(5, 0, 300), (4, 1, 25), (5, 0, 0), (3, 3, 40)])
-def test_merge_sampler_equals_reference_driver(x, y, t_cap):
+def _merge_against_the_reference_driver(n, k, x, y, t_cap, replicas):
     """The inline loop is the side-by-side driver run with the per-jump pair alone."""
-    kernel = build_coupled_kernel(ModelParams(20, 5))
+    kernel = build_coupled_kernel(ModelParams(n, k))
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = merge_time_samples(kernel, x, y, t_cap, 500, rng)
-    state, jump, met = _pair_process(kernel, x, y, 500)
+    got = merge_time_samples(kernel, x, y, t_cap, replicas, rng)
+    state, jump, met = _pair_process(kernel, x, y, replicas)
     [(tau, merged)] = _side_by_side([(state, jump, met)], t_cap, ref_rng)
     _assert_same_run((got.tau, got.merged, got.w1, got.w2), (tau, merged, state[0], state[1]),
                      rng, ref_rng)
+    return got
+
+
+@pytest.mark.parametrize("n,k,x,y,t_cap,replicas", [
+    pytest.param(20, 5, 5, 0, 300, 500, id="5-0-300"),
+    pytest.param(20, 5, 4, 1, 25, 500, id="4-1-25"),
+    pytest.param(20, 5, 5, 0, 0, 500, id="5-0-0"),
+    pytest.param(20, 5, 3, 3, 40, 500, id="3-3-40"),
+    # the benchmark's shape: about 1400 rounds, about 200 of which shrink the batch
+    pytest.param(2000, 400, 400, 0, 6000, 300, id="2000-400-400-0-6000"),
+])
+def test_merge_sampler_equals_reference_driver(n, k, x, y, t_cap, replicas):
+    _merge_against_the_reference_driver(n, k, x, y, t_cap, replicas)
+
+
+def test_merge_at_the_cap_is_done_not_late():
+    """A jump that lands on the diagonal at exactly t_cap merges there."""
+    got = _merge_against_the_reference_driver(20, 5, 1, 0, 3, 500)
+    assert (got.merged & (got.tau == 3)).any()
 
 
 @pytest.mark.parametrize("q,m,t_cap", [(0.3, 2, 500), (1.0, 1, 60), (0.04, 50, 4000)])
@@ -408,12 +426,18 @@ def test_tiny_move_probability_raises_naming_q(q):
 def test_geometric_hold_saturates_instead_of_wrapping():
     u = np.array([0.0, 1e-300, 0.5, 1.0 - 2.0**-53])
     holds = _geometric_from_uniform(u, -1e-19)
-    assert holds.tolist() == [1, 1, 2**62 + 1, 2**62 + 1]
+    assert holds.tolist() == [0, 0, 2**62, 2**62]
     # in range, the bits are those of the plain floor
     u = np.random.default_rng(8).random(1000)
     np.testing.assert_array_equal(
         _geometric_from_uniform(u, math.log1p(-0.01)),
-        np.floor(np.log1p(-u) / math.log1p(-0.01)).astype(np.int64) + 1,
+        np.floor(np.log1p(-u) / math.log1p(-0.01)).astype(np.int64),
+    )
+    # the same bits with the float work in place
+    work = u.copy()
+    np.testing.assert_array_equal(
+        _geometric_from_uniform(work, math.log1p(-0.01), out=work),
+        _geometric_from_uniform(u, math.log1p(-0.01)),
     )
 
 
@@ -426,6 +450,20 @@ def test_hitting_sampler_memory_stays_within_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_merge_sampler_memory_stays_within_its_buffers():
+    """At the benchmark's size (20 000 replicas, 160 KB per float or int64
+    array) the per-jump arrays sit in buffers made once per call, and the
+    traced peak stays within about 22 such arrays."""
+    kernel = build_coupled_kernel(ModelParams(2000, 400))
+    tracemalloc.start()
+    try:
+        merge_time_samples(kernel, 400, 0, 6000, 20_000, replica_stream(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_600_000
 
 
 @pytest.mark.parametrize("t_cap", [0, 30])
