@@ -29,11 +29,13 @@ import numpy as np
 
 from .exclusion import ModelParams
 from .lumped import equilibrium
-from .walk import tail_estimate
+from .walk import _geometric_from_uniform, tail_estimate
 
-#: A bounds report draws at most this many geometric waits in all: at the
-#: 20 to 42 ns a wait took on a 2-core Xeon, five to ten minutes.
-_DRAW_CAP = 15 * 10**9
+#: A bounds report draws at most this many geometric waits in all: about
+#: 300 s, lumped's stepping cap, at the worst of 5.4 to 8.4 ns a wait took
+#: on a 2-core Xeon (best and worst of 3 at (n, k) = (10^4, 100) with 2500
+#: and 10^5 replicas, (1000, 200) with 5000 and (10^6, 5*10^4) with 200).
+_DRAW_CAP = 35 * 10**9
 
 
 @dataclass(frozen=True)
@@ -73,17 +75,23 @@ def single_draw_collection_samples(
     """Sample tau' as its sum of independent geometric waits (int64).
 
     The wait for the next fresh block site while j are unselected is
-    Geom(j/n), for j = residual+1, ..., k.  Each ``rng.geometric`` call
-    draws ``block`` of those stages for every replica, so the temporary
-    holds at most replicas x block waits.
+    Geom(j/n) on {1, 2, ...}, for j = residual+1, ..., k.  Each round
+    fills a buffer made once per call with a row of one uniform per
+    replica for each of ``block`` stages, and turns the rows into waits
+    by inverse CDF in place, so the temporaries hold at most replicas x
+    block waits.
     """
     if replicas < 1 or block < 1:
         raise ValueError(f"replicas and block must be positive, got {replicas} and {block}")
-    p = np.arange(spec.residual + 1, spec.k + 1) / spec.n
-    tau = np.zeros(replicas, dtype=np.int64)
-    for start in range(0, p.size, block):
-        stages = p[start : start + block]
-        tau += rng.geometric(stages, size=(replicas, stages.size)).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log1m_p = np.log1p(-np.arange(spec.residual + 1, spec.k + 1) / spec.n)  # -inf at j == n
+    # each wait is its failures plus one
+    tau = np.full(replicas, log1m_p.size, dtype=np.int64)
+    work = np.empty(replicas * min(block, log1m_p.size))
+    for start in range(0, log1m_p.size, block):
+        stages = log1m_p[start : start + block]
+        u = rng.random(out=work[: stages.size * replicas].reshape(stages.size, replicas))
+        tau += _geometric_from_uniform(u, stages[:, np.newaxis], out=u).sum(axis=0)
     return tau
 
 

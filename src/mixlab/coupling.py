@@ -39,38 +39,11 @@ import numpy as np
 
 from .exclusion import ModelParams
 from .lumped import BirthDeathKernel, build_kernel
-from .walk import _check_batch, tail_estimate
+from .walk import _check_batch, _geometric_from_uniform, tail_estimate
 
 #: (W1, W2) steps of the four off-diagonal moves, in the order the
 #: skeleton thresholds split them: W1 up, W2 down, W1 down, W2 up.
 _PAIR_MOVES = np.array([[1, 0, -1, 0], [0, -1, 0, 1]], dtype=np.int64)
-
-#: Cap on the float hold of :func:`_geometric_from_uniform` before its
-#: int64 cast.
-_HOLD_SATURATION = 2.0**62
-
-
-def _geometric_from_uniform(
-    u: np.ndarray, log1m_q: np.ndarray | float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Inverse-CDF geometric on {0, 1, ...}: floor(log(1-u)/log(1-q)).
-
-    The steps held before a jump, whose hold is this plus one.  Monotone
-    in the success probability for a fixed uniform: a smaller q (flatter
-    log) gives a pathwise larger value, which is what makes the
-    shared-uniform clock comparison work.  q = 1 (log1m_q = -inf) gives 0.
-    A tiny q can give values past int64: they saturate at 2**62, which
-    ends any replica with t_cap below 2**62 as late and keeps a clock
-    plus a hold inside int64; smaller values keep their bits.  The
-    quotient is nonnegative, so the int64 cast truncates it as floor
-    would.  The float work runs in ``out`` (which may be ``u`` itself)
-    or in a new array.
-    """
-    held = np.negative(u, out=out)
-    np.log1p(held, out=held)
-    held /= log1m_q
-    return np.minimum(held, _HOLD_SATURATION, out=held).astype(np.int64)
-
 
 @dataclass(frozen=True)
 class CoupledKernel:

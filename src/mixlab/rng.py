@@ -6,11 +6,13 @@ import numpy as np
 
 
 def replica_stream(seed: int, *path: int) -> np.random.Generator:
-    """Independent counter-based generator for a (seed, path...) address.
+    """Independent SFC64 generator for a (seed, path...) address.
 
-    Streams derived from the same master seed but different paths never
-    overlap, so grid points and replica batches can be simulated in any
-    order, or concurrently, and still produce identical results.
+    The state comes from a ``SeedSequence`` whose spawn key is the path,
+    so streams derived from the same master seed but different paths are
+    statistically independent, and grid points and replica batches can
+    be simulated in any order, or concurrently, and still produce
+    identical results.
 
     Args:
         seed: master seed, any nonnegative integer.
@@ -18,9 +20,9 @@ def replica_stream(seed: int, *path: int) -> np.random.Generator:
             (replica index, grid index, ...).
 
     Returns:
-        A ``numpy.random.Generator`` backed by the Philox counter engine.
+        A ``numpy.random.Generator`` backed by the SFC64 engine.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))

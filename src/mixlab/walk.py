@@ -25,7 +25,8 @@ Simulation goes through the jump chain: a fair +1/-1 move per jump and
 a geometric holding time before it.  The hitting sampler draws the signs
 in blocks from random bits and each block's holds as one
 negative-binomial sum; the coupled pair of :mod:`mixlab.coupling` is
-run one jump per round.
+run one jump per round.  The inverse-CDF geometric here turns uniforms
+into the pair's holds and into the waits of :mod:`mixlab.bounds`.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ _WEIGHT_ROWS = 1 << 16
 #: estimated 230, 380, 1730 and 15230.
 _MOVE_NS = 200
 _ENTRY_NS = 30
+
+#: Cap on the float hold of :func:`_geometric_from_uniform` before its
+#: int64 cast.
+_HOLD_SATURATION = 2.0**62
 
 #: Jumps drawn per running replica and round of the hitting sampler:
 #: eight random bytes of fair signs.
@@ -282,6 +287,29 @@ def survival_bruteforce(m: int, steps: int, q: float) -> np.ndarray:
         p = new
         curve[s] = p[1 : m + s + 1].sum()
     return curve
+
+
+def _geometric_from_uniform(
+    u: np.ndarray, log1m_q: np.ndarray | float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse-CDF geometric on {0, 1, ...}: floor(log(1-u)/log(1-q)).
+
+    The failures before the first success, whose wait is this plus one:
+    the steps held before a jump of the merge sampler, and a collector
+    wait less one.  Monotone in the success probability for a fixed
+    uniform: a smaller q (flatter log) gives a pathwise larger value,
+    which is what makes the shared-uniform clock comparison work.  q = 1
+    (log1m_q = -inf) gives 0.  A tiny q can give values past int64: they
+    saturate at 2**62, which ends any merge replica with t_cap below 2**62
+    as late and keeps a clock plus a hold inside int64; smaller values
+    keep their bits.  The quotient is nonnegative, so the int64 cast
+    truncates it as floor would.  The float work runs in ``out`` (which
+    may be ``u`` itself) or in a new array.
+    """
+    held = np.negative(u, out=out)
+    np.log1p(held, out=held)
+    held /= log1m_q
+    return np.minimum(held, _HOLD_SATURATION, out=held).astype(np.int64)
 
 
 def _check_batch(t_cap: int, replicas: int) -> None:

@@ -34,10 +34,10 @@ from scipy.special import betainc
 
 from mixlab import exclusion
 from mixlab.bounds import CollectorSpec
-from mixlab.coupling import _PAIR_MOVES, CoupledKernel, _geometric_from_uniform
+from mixlab.coupling import _PAIR_MOVES, CoupledKernel
 from mixlab.lumped import MixingProfile
 from mixlab.records import ResultRecord, format_cell
-from mixlab.walk import _check_batch, _validate
+from mixlab.walk import _check_batch, _geometric_from_uniform, _validate
 
 #: Largest number of transient pair states the exact linear-system solver
 #: will handle (dense solve).

@@ -126,6 +126,8 @@ def test_block_size_does_not_change_the_law():
         (CollectorSpec(30, 6, 5), 500, 2),  # one site needed
         (CollectorSpec(40, 4), 300, 2048),  # every replica ends in the first block
         (CollectorSpec(50, 10, 3), 1000, 7),  # about a hundred replicas end per block
+        (CollectorSpec(4, 4), 500, 3),  # the last stage succeeds with probability 1
+        (CollectorSpec(4, 4, 2), 500, 3),
     ],
 )
 def test_sampler_matches_sequential_scan(spec, replicas, block):
@@ -144,6 +146,9 @@ def test_sampler_determinism_and_single_draw():
     assert a.min() >= spec.k - spec.residual
     value = (single_draw_collection_samples(spec, 1, replica_stream(41, 7))[0] + 1) // 2
     assert value >= 3
+    # k = n: every stage succeeds at its first draw
+    ones = single_draw_collection_samples(CollectorSpec(1, 1), 50, replica_stream(41, 9))
+    np.testing.assert_array_equal(ones, np.ones(50, dtype=np.int64))
     with pytest.raises(ValueError):
         single_draw_collection_samples(spec, 0, replica_stream(41, 8))
     with pytest.raises(ValueError):

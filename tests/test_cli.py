@@ -455,8 +455,8 @@ def test_cli_coupling_refuses_a_time_beyond_the_stepping_cap(tmp_path):
      "error: t=1000000000 with k=10 is beyond the cap of 300 s of stepping, "),
     ({"kind": "tv-curve", "n": 100, "k": 10, "t_max": 10**9, "stride": 1000},
      "error: t_max=1000000000 with k=10 is beyond the cap of 300 s of stepping, "),
-    ({"kind": "bounds", "n": 10**6, "k": 5 * 10**4, "threshold": 10, "t_values": [30000, 40000]},
-     "error: the collector bounds with replicas=100000 would draw 19998000000 geometric waits, "),
+    ({"kind": "bounds", "n": 10**6, "k": 10**5, "threshold": 10, "t_values": [60000, 80000]},
+     "error: the collector bounds with replicas=100000 would draw 39998000000 geometric waits, "),
     ({"kind": "hitting", "m": 1, "q": 0.5, "steps_values": [4 * 10**18]},
      "error: the exact survival with m=1, steps=4000000000000000000 and q=0.5 is beyond "
      "the cap of 300 s of summing, "),
@@ -465,7 +465,7 @@ def test_cli_coupling_refuses_a_time_beyond_the_stepping_cap(tmp_path):
 ], ids=["coupling", "tv-curve", "bounds", "hitting", "oracle-check"])
 def test_cli_refuses_hours_of_work_at_once(tmp_path, payload, prefix):
     """Stepping 10^9 times at k = 10 (about 10^4 s estimated), drawing
-    2*10^10 collector waits (12 to 14 minutes), summing the walk's
+    4*10^10 collector waits (4 to 6 minutes at 5.4 to 8.4 ns a wait), summing the walk's
     survival over 1.9*10^10 move counts (73 minutes estimated) or an
     oracle check to t = 10^8 is exit 1 with one line, in seconds; the
     hitting run draws no sample first."""

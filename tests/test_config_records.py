@@ -43,6 +43,7 @@ def test_replica_stream_determinism():
     a = replica_stream(12, 3, 4).random(8)
     b = replica_stream(12, 3, 4).random(8)
     np.testing.assert_array_equal(a, b)
+    assert isinstance(replica_stream(12, 3, 4).bit_generator, np.random.SFC64)
     c = replica_stream(12, 3, 5).random(8)
     assert not np.array_equal(a, c)
     d = replica_stream(13, 3, 4).random(8)

@@ -8,9 +8,10 @@ import pytest
 from scipy import integrate, stats
 
 from mixlab import ModelParams, lumped, replica_stream, walk
-from mixlab.coupling import _geometric_from_uniform, build_coupled_kernel, merge_time_samples
+from mixlab.coupling import build_coupled_kernel, merge_time_samples
 from mixlab.walk import (
     WalkParams,
+    _geometric_from_uniform,
     gaussian_limit,
     hitting_time_samples,
     survival_bruteforce,
