@@ -255,7 +255,9 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
     """Re-derive the package's exact identities on small instances.
 
     Each instance's laws at t = 0..t_max are stepped once into one array;
-    the lumping, spectral and moment residuals are reductions of it.
+    the lumping, spectral and moment residuals are reductions of it.  The
+    powering residual re-derives d(t) at t = 1, t_max // 2 and t_max by
+    binary powering of the kernel, against the brute-force curve.
     ``kernel_factory`` (tests only) substitutes the birth-death kernel
     construction, so a deliberately corrupted kernel makes exactly the
     identities that depend on it fail, by name.  Raises
@@ -270,6 +272,7 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
         rows.append((identity, instance, residual, tol, "pass" if residual <= tol else "fail"))
 
     times = np.arange(config.t_max + 1)
+    powered_times = sorted({min(1, config.t_max), config.t_max // 2, config.t_max})
     for params in _instances(config.n_max):
         label = f"n={params.n},k={params.k}"
         kernel = factory(params)
@@ -287,6 +290,8 @@ def run_oracle_check(config: ExperimentConfig, kernel_factory=None) -> ResultRec
         spectrum = lumped._Spectrum(params, pi)
         spectral = spectrum.at(times)[0]
         add("lumping", label, float(np.abs(brute - d).max()))
+        powered = lumped._powered_distances(kernel, pi, powered_times)
+        add("powering", label, float(np.abs(brute[powered_times] - powered).max()))
         add("moment-mean", label, float(np.abs(mean - laws @ values).max()))
         add("moment-second", label, float(np.abs(var + mean * mean - laws @ values**2).max()))
 

@@ -69,6 +69,15 @@ _HOLD_SATURATION = 2.0**62
 #: eight random bytes of fair signs.
 _BLOCK = 64
 
+#: :func:`hitting_time_samples` is estimated at _ROUND_NS per round plus
+#: _REPLICA_ROUND_NS per running replica and round, over the bounds of
+#: :func:`_sampling_ns`, and refused beyond lumped's stepping cap of 300 s:
+#: an upper envelope of 57-63 us per round (one replica, q 1) and 98-156 ns
+#: per replica-round (20 000 replicas, q from 1 to 1e-6), best and worst of
+#: 3 on a 2-core Xeon.
+_ROUND_NS = 100_000
+_REPLICA_ROUND_NS = 250
+
 #: Partial sums of the eight signs in each byte value, read as
 #: np.unpackbits reads it (most significant bit first, 1 is +1 and 0 is
 #: -1), and the net step and the lowest partial sum of each byte.
@@ -165,6 +174,44 @@ def _binomial_weights(steps: int, q: float, window: tuple[int, int, int]):
         np.cumsum(logw[::-1], out=logw[::-1])
         low = logw[0]
         yield start, np.exp(logw, out=logw)
+
+
+def _capped_sum(scale: float, rounds: int) -> float:
+    """An upper bound, in closed form, on the sum over b < ``rounds`` of
+    min(1, scale / sqrt(_BLOCK b - 1)), its b = 0 term 1.
+
+    The terms are 1 up to b = floor((scale^2 + 1) / _BLOCK).  Past them they
+    decrease, so their sum from the first one below 1, at b = a, is at most
+    the term at a plus the integral of scale / sqrt(_BLOCK x - 1) from a to
+    rounds - 1, which is 2 scale sqrt(_BLOCK x - 1) / _BLOCK.
+    """
+    ones = min(rounds, math.floor((scale * scale + 1.0) / _BLOCK) + 1)
+    if ones >= rounds:
+        return float(rounds)
+    first = math.sqrt(_BLOCK * ones - 1.0)
+    last = math.sqrt(_BLOCK * (rounds - 1.0) - 1.0)
+    return ones + scale * (1.0 / first + 2.0 * (last - first) / _BLOCK)
+
+
+def _sampling_ns(params: WalkParams, t_cap: int, replicas: int) -> int:
+    """The estimated nanoseconds of :func:`hitting_time_samples`.
+
+    A replica still running after b rounds has made _BLOCK b jumps without
+    a hit, and the walk from 0 sits in (-m, m] after j jumps with
+    probability at most m C(j, j // 2) / 2^j <= m sqrt(2 / (pi (j - 1))).
+    Past B = ceil(hi / _BLOCK) rounds, hi the top of
+    :func:`_bernstein_window` (t_cap, q), a replica has made more jumps
+    than t_cap steps hold, but with probability at most 2^-64.  So the
+    expected rounds are at most the sum over b < B of
+    min(1, replicas m sqrt(2 / (pi (_BLOCK b - 1)))), and the expected
+    replica-rounds replicas times that sum without the factor replicas;
+    :func:`_capped_sum` gives both.
+    """
+    rounds = -(-_bernstein_window(t_cap, params.q)[2] // _BLOCK)
+    per_replica = params.start * math.sqrt(2.0 / math.pi)
+    estimate = _ROUND_NS * _capped_sum(replicas * per_replica, rounds)
+    estimate += _REPLICA_ROUND_NS * replicas * _capped_sum(per_replica, rounds)
+    return math.ceil(estimate)
 
 
 def _central_table(size: int) -> np.ndarray:
@@ -341,13 +388,18 @@ def hitting_time_samples(
     any later hit is later still.  Each jump takes at least one step, so
     a start beyond t_cap returns the sentinels without a draw.  Returns
     (times, hit).  Raises ValueError when q is too small for numpy's
-    negative-binomial sampler (below about 1e-17).
+    negative-binomial sampler (below about 1e-17), or, before any draw,
+    when the run is estimated beyond the cap of 300 s (see
+    :func:`_sampling_ns`).
     """
     _check_batch(t_cap, replicas)
     times = np.full(replicas, t_cap + 1, dtype=np.int64)
     hit = np.zeros(replicas, dtype=bool)
     if params.start > t_cap:
         return times, hit
+    what = f"the hitting sampler with m={params.start}, q={params.q}, t_cap={t_cap}"
+    what += f" and replicas={replicas}"
+    _refuse_stepping(_sampling_ns(params, t_cap, replicas), what, ValueError, "sampling")
     # the running replicas: their indices, positions and clocks
     gid = np.arange(replicas)
     pos = np.full(replicas, params.start, dtype=np.int64)

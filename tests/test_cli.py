@@ -268,7 +268,7 @@ def test_oracle_check_localizes_a_corrupted_kernel():
 
     Halving up and down keeps rows stochastic, keeps detailed balance and
     the stationary law, but halves the spectral gap, so only the lumping,
-    moment, eigenfunction and spectral identities move.  The pair jump rates halve
+    powering, moment, eigenfunction and spectral identities move.  The pair jump rates halve
     too, yet at ``pair_n_max`` 4 their floor ratio q n^2/k^2 is still 1.5,
     so the skeleton row passes.  Scaling the down rates by 0.1 takes
     that ratio to 0.75, and the skeleton row fails.
@@ -287,7 +287,7 @@ def test_oracle_check_localizes_a_corrupted_kernel():
     with pytest.raises(OracleFailure) as exc_info:
         run_oracle_check(config, kernel_factory=scaled(0.5, 0.5))
     assert exc_info.value.failures == [
-        "eigenfunction", "lumping", "moment-mean", "moment-second", "spectral",
+        "eigenfunction", "lumping", "moment-mean", "moment-second", "powering", "spectral",
     ]
     record = exc_info.value.record
     by_identity = {}
@@ -299,6 +299,7 @@ def test_oracle_check_localizes_a_corrupted_kernel():
     assert by_identity["skeleton"] == {"pass"}
     assert by_identity["reflection"] == {"pass"}
     assert "fail" in by_identity["lumping"]
+    assert "fail" in by_identity["powering"]
     assert [row[1] for row in record.rows if row[0] == "skeleton"] == ["n=2", "n=3", "n=4"]
 
     # slowing only the down moves also breaks balance and the stationary law
@@ -306,7 +307,7 @@ def test_oracle_check_localizes_a_corrupted_kernel():
         run_oracle_check(config, kernel_factory=scaled(1.0, 0.1))
     assert exc_info.value.failures == [
         "detailed-balance", "eigenfunction", "lumping", "moment-mean", "moment-second",
-        "skeleton", "spectral", "stationarity",
+        "powering", "skeleton", "spectral", "stationarity",
     ]
     skeleton = {row[1]: row[2] for row in exc_info.value.record.rows if row[0] == "skeleton"}
     assert skeleton["n=2"] == skeleton["n=3"] == 0.0
@@ -434,6 +435,25 @@ def test_hitting_record_from_beyond_the_horizon_survives():
          "replicas": 2000}
     ))
     assert [row[1:] for row in record.rows] == [(1.0, 1.0, 0.0)] * 2
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_cli_hitting_refuses_a_sampler_of_hours(tmp_path, seed):
+    """m 1, q 1 and t_cap 10^15 with 1000 replicas once ran 2 to 11 s at
+    seeds 1-3 and over 30 s at seed 4; its expected rounds alone are
+    estimated at about 8*10^4 s, so it is exit 1 with one line, in seconds."""
+    cfg = _write_config(tmp_path, "c.json", {"kind": "hitting", "m": 1, "q": 1,
+                                             "steps_values": [10**15], "replicas": 1000})
+    start = time.monotonic()
+    result = _run_cli(["hitting", "--config", cfg, "--seed", str(seed)], tmp_path)
+    assert time.monotonic() - start < 10.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(
+        "error: the hitting sampler with m=1, q=1.0, t_cap=1000000000000000 and replicas=1000 "
+        "is beyond the cap of 300 s of sampling, at an estimated "
+    )
+    assert result.stderr.count("\n") == 1
 
 
 def test_cli_coupling_refuses_a_time_beyond_the_stepping_cap(tmp_path):

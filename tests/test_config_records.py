@@ -229,7 +229,7 @@ def test_readme_oracle_note_names_every_identity():
     config = parse_config({"kind": "oracle-check", "n_max": 3, "t_max": 2, "pair_n_max": 3,
                            "walk_m_max": 1, "walk_steps_max": 2, "walk_q": [0.5]})
     identities = {row[0] for row in run_oracle_check(config).rows}
-    assert len(identities) == 10
+    assert len(identities) == 11
     missing = {name for name in identities if f"`{name}`" not in note}
     assert not missing, missing
 

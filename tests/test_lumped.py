@@ -1,7 +1,10 @@
 """Lumped birth-death kernel: equilibrium, moments, mixing curves."""
 
+import importlib.util
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +310,129 @@ def test_distances_at_match_one_call_evolution():
         assert d == tv_distance(evolve(delta_at(12, 13), kernel, t), pi)
     with pytest.raises(ValueError):
         distances_at(params, [-1])
+
+
+def _decimal_distance(params, t):
+    """d(t) from W_0 = k in 40-digit decimal arithmetic: the kernel's t-th
+    power from the top bit of t down (square, then one step more where the
+    bit is set), against pi from exact binomials."""
+    n, k = params.n, params.k
+    size = k + 1
+    with localcontext() as ctx:
+        ctx.prec = 40
+        up = [Decimal(2 * (k - i) ** 2) / (n * n) for i in range(size)]
+        down = [Decimal(2 * i * (n - 2 * k + i)) / (n * n) for i in range(size)]
+        stay = [1 - u - d for u, d in zip(up, down)]
+        power = [[Decimal(int(i == j)) for j in range(size)] for i in range(size)]
+        for bit in bin(t)[2:]:
+            cols = list(zip(*power))
+            power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
+            if bit == "1":
+                power = [
+                    [
+                        row[j] * stay[j]
+                        + (row[j - 1] * up[j - 1] if j else 0)
+                        + (row[j + 1] * down[j + 1] if j < k else 0)
+                        for j in range(size)
+                    ]
+                    for row in power
+                ]
+        total = math.comb(n, k)
+        pi = [Decimal(math.comb(k, y) * math.comb(n - k, k - y)) / total for y in range(size)]
+        return float(sum(abs(a - b) for a, b in zip(power[k], pi)) / 2)
+
+
+def _admission_limit(k):
+    """The largest t with e(t) <= 1e-9, from e(t) ~ 1/2 t (k + 1) 2^-53."""
+    t = int(2e-9 / ((k + 1) * 2.0**-53))
+    while lumped._power_error(t, k) > 1e-9:
+        t -= 1
+    return t
+
+
+@pytest.mark.parametrize("n, k", [(10**6, 1), (10**6, 2), (10**6, 8), (10**6, 31), (10**5, 100)])
+def test_powered_distances_lie_within_their_bound(n, k):
+    """Up to the admission limit, where e(t) reaches 1e-9 at t (k + 1) near
+    2e-9 * 2^53 = 1.8*10^7, the powered d(t) lies within e(t) of a 40-digit reference for
+    k <= 31 and of the stepped d(t) at k = 100."""
+    limit = _admission_limit(k)
+    assert 0.999 * 2e-9 * 2**53 < limit * (k + 1) <= 2e-9 * 2**53
+    assert lumped._power_error(limit + 1, k) > 1e-9
+    # powering would pay on either side; the error bound alone stops it
+    assert lumped._powering_pays(limit, k, 3) and not lumped._powering_pays(limit + 1, k, 3)
+    params = ModelParams(n, k)
+    kernel, pi = build_kernel(params), equilibrium(params)
+    times = [1, limit // 3, limit]
+    powered = lumped._powered_distances(kernel, pi, times)
+    if k < 100:
+        reference = [_decimal_distance(params, t) for t in times]
+    else:
+        stepped = lumped._Stepper(kernel, delta_at(k, k + 1))
+        reference = []
+        for t, last in zip(times, [0, *times]):
+            stepped.advance(t - last)
+            reference.append(tv_distance(stepped.law(), pi))
+    for t, d, ref in zip(times, powered, reference):
+        assert abs(d - ref) <= lumped._power_error(t, k), (t, d, ref)
+    assert reference[-1] > 1e-9  # the chain has not mixed at the limit
+
+
+def _perfbench_small_ops():
+    """The benchmark's self-test ops (perfbench/workloads.py SMALL)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [op.config for ops in module.SMALL.values() for op in ops]
+
+
+def _exact_distance_configs():
+    """(n, k, t_values) of every perfbench SMALL op and MINIMAL config that
+    takes exact distances (the coupling and bounds kinds)."""
+    from test_config_records import MINIMAL
+
+    configs = [*_perfbench_small_ops(), *MINIMAL.values()]
+    return [(c["n"], c["k"], c["t_values"]) for c in configs if "t_values" in c]
+
+
+@pytest.mark.parametrize("n, k, times, powers", [
+    (10**4, 100, [12000, 18000], True),
+    (1000, 200, [1500, 2500], False),
+    (2000, 400, [4000, 5000, 6000], False),
+    *((n, k, times, False) for n, k, times in _exact_distance_configs()),
+])
+def test_distances_at_powers_only_where_it_pays(monkeypatch, n, k, times, powers):
+    """The collector's sparse size powers; its dense size, the montecarlo
+    coupling and every small config step, with the bits of one-call
+    evolution.  The powered d(t) lies within e(t) of the stepped one."""
+    params = ModelParams(n, k)
+    kernel, pi = build_kernel(params), equilibrium(params)
+    stepped = {t: tv_distance(evolve(delta_at(k, k + 1), kernel, t), pi) for t in times}
+    real, calls = lumped._powered_distances, []
+    monkeypatch.setattr(lumped, "_powered_distances",
+                        lambda *args: calls.append(args) or real(*args))
+    distances = distances_at(params, times)
+    assert len(calls) == int(powers)
+    assert distances_at(params, np.array(times)) == distances
+    for t in times:
+        if powers:
+            assert abs(distances[t] - stepped[t]) <= lumped._power_error(t, k)
+        else:
+            assert distances[t] == stepped[t]
+
+
+def test_powered_mass_drift_is_an_error_not_rescaled(monkeypatch):
+    """A powered law may drift by 1e-10 plus 2 e(t): at (10^4, 100) and
+    t = 18000 that is 3.0e-10.  Stays raised by 1e-14 (drift 1.8e-10) pass;
+    by 2e-14 (drift 3.6e-10) or 1e-9 they raise."""
+    params = ModelParams(10**4, 100)
+    assert 1e-10 + 2 * lumped._power_error(18000, 100) == pytest.approx(3.02e-10, rel=1e-3)
+    monkeypatch.setattr(lumped, "build_kernel", lambda params: _leaky_kernel(params, 1e-14))
+    distances_at(params, [12000, 18000])
+    for leak in (2e-14, 1e-9):
+        monkeypatch.setattr(lumped, "build_kernel", lambda params: _leaky_kernel(params, leak))
+        with pytest.raises(RuntimeError, match="mass drifted from 1 by"):
+            distances_at(params, [12000, 18000])
 
 
 def _stepping_estimate(steps, k):

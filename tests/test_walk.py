@@ -303,6 +303,84 @@ def test_hitting_from_the_cap_can_still_hit():
     assert abs(hit.mean() - 1 / 8) < 4.0 * sigma
 
 
+def test_capped_sum_bounds_the_sum_from_above():
+    """The closed form of the preflight's sum is an upper bound on the sum
+    term by term, and not much looser."""
+    for scale in (0.01, 0.8, 5.0, 7.9, 8.1, 40.0, 798.0, 1e4):
+        for rounds in (1, 2, 3, 10, 32, 1000, 10**5):
+            terms = [1.0] + [min(1.0, scale / math.sqrt(64 * b - 1)) for b in range(1, rounds)]
+            exact = math.fsum(terms)
+            closed = walk._capped_sum(scale, rounds)
+            assert exact <= closed * (1 + 1e-15) and closed <= 1.2 * exact + 1.0
+
+
+class _CountingStream:
+    """A generator that counts the hitting sampler's rounds and replica-rounds."""
+
+    def __init__(self, rng):
+        self.rng, self.rounds, self.replica_rounds = rng, 0, 0
+
+    def integers(self, low, high, shape, dtype):
+        self.rounds += 1
+        self.replica_rounds += shape[1]
+        return self.rng.integers(low, high, shape, dtype=dtype)
+
+    def negative_binomial(self, n, p):
+        return self.rng.negative_binomial(n, p)
+
+
+def _preflight_sums(m, q, t_cap, replicas):
+    """The preflight's bounds on the expected rounds and replica-rounds."""
+    rounds = -(-walk._bernstein_window(t_cap, q)[2] // walk._BLOCK)
+    per_replica = m * math.sqrt(2.0 / math.pi)
+    return (walk._capped_sum(replicas * per_replica, rounds),
+            replicas * walk._capped_sum(per_replica, rounds))
+
+
+@pytest.mark.parametrize("m, t_cap, replicas", [
+    (1, 10**5, 2000), (1, 10**4, 1), (7, 3 * 10**4, 50),
+])
+def test_hitting_preflight_bounds_the_expected_rounds(m, t_cap, replicas):
+    """At q = 1 a replica runs round b exactly when it has not hit 0 in
+    _BLOCK b steps, within t_cap, so the expected rounds and replica-rounds
+    are sums of survival_exact; the preflight's closed forms bound both."""
+    survival = [walk.survival_exact(m, walk._BLOCK * b, 1.0)
+                for b in range(-(-t_cap // walk._BLOCK))]
+    rounds = math.fsum(1.0 - (1.0 - s) ** replicas for s in survival)
+    replica_rounds = replicas * math.fsum(survival)
+    round_bound, replica_round_bound = _preflight_sums(m, 1.0, t_cap, replicas)
+    assert rounds <= round_bound
+    assert replica_rounds <= replica_round_bound <= 1.2 * replica_rounds + replicas
+
+
+def test_hitting_preflight_at_the_benchmark_size():
+    """The benchmark's hitting op ran 28 rounds and 4.7e5 replica-rounds,
+    within the sums (about 32 and 6.3e5); its estimate is far below the cap."""
+    params = WalkParams(0.04, 50)
+    stream = _CountingStream(replica_stream(36, 0))
+    hitting_time_samples(params, 40_000, 20_000, stream)
+    round_bound, replica_round_bound = _preflight_sums(50, 0.04, 40_000, 20_000)
+    assert stream.rounds <= round_bound
+    assert stream.replica_rounds <= replica_round_bound
+    estimate = walk._ROUND_NS * round_bound + walk._REPLICA_ROUND_NS * replica_round_bound
+    assert walk._sampling_ns(params, 40_000, 20_000) == math.ceil(estimate) < 10**9
+
+
+def test_hitting_sampler_runs_at_the_cap_and_is_refused_below_it(monkeypatch):
+    """Refused in one line, before any draw, one nanosecond below its estimate."""
+    params = WalkParams(0.5, 3)
+    estimate = walk._sampling_ns(params, 200, 50)
+    monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate)
+    hitting_time_samples(params, 200, 50, replica_stream(37, 0))
+    monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate - 1)
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match=r"^the hitting sampler with m=3, q=0.5, t_cap=200 and "
+                                         r"replicas=50 is beyond the cap of 0 s of sampling, "
+                                         r"at an estimated 0 s$"):
+        hitting_time_samples(params, 200, 50, rng)
+    assert rng.random() == np.random.default_rng(7).random()
+
+
 def test_tail_estimate_edges():
     samples = np.array([3, 5, 5, 9])
     assert tail_estimate(samples, 2) == (1.0, 0.0)  # all above
