@@ -27,7 +27,8 @@ walk whose zero-hitting time tau' is never smaller than tau.
 
 The merge sampler runs the pair through its jump chain, one move and
 one clock uniform per jump; the walk's hitting sampler in
-:mod:`mixlab.walk` draws its holds as negative-binomial sums instead.
+:mod:`mixlab.walk` draws its jumps from their first-passage law and
+their holds as one negative-binomial draw instead.
 """
 
 from __future__ import annotations

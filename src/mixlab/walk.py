@@ -22,11 +22,13 @@ the cross-check, and a Gaussian evaluator covers the diffusive limit
 where m ~ alpha * s and steps ~ beta * s^2 / q.
 
 Simulation goes through the jump chain: a fair +1/-1 move per jump and
-a geometric holding time before it.  The hitting sampler draws the signs
-in blocks from random bits and each block's holds as one
-negative-binomial sum; the coupled pair of :mod:`mixlab.coupling` is
-run one jump per round.  The inverse-CDF geometric here turns uniforms
-into the pair's holds and into the waits of :mod:`mixlab.bounds`.
+a geometric holding time before it.  The hitting sampler draws the
+number of jumps to reach 0 from its first-passage law, as a sum of
+independent excursions, and all their holds as one negative-binomial
+draw; the coupled pair of :mod:`mixlab.coupling` is run one jump per
+round.  The inverse-CDF geometric here turns uniforms into the
+excursions' lengths, the pair's holds and the waits of
+:mod:`mixlab.bounds`.
 """
 
 from __future__ import annotations
@@ -65,29 +67,21 @@ _ENTRY_NS = 30
 #: int64 cast.
 _HOLD_SATURATION = 2.0**62
 
-#: Jumps drawn per running replica and round of the hitting sampler:
-#: eight random bytes of fair signs.
-_BLOCK = 64
+#: :func:`hitting_time_samples` is estimated at _EXCURSION_NS per replica
+#: and excursion plus _PASS_NS per pass over the batch (one excursion of
+#: each replica), and refused beyond lumped's stepping cap of 300 s: an
+#: upper envelope of 22-38 ns per replica and excursion (m from 20 to 1000,
+#: 1000 to 10^6 replicas) and 12 us per pass (one replica), best and worst
+#: of 3 on a 2-core Xeon.  The holds' draw, 70-190 ns per replica, is left
+#: out: it would pass the cap only beyond 10^9 replicas.
+_EXCURSION_NS = 40
+_PASS_NS = 15_000
 
-#: :func:`hitting_time_samples` is estimated at _ROUND_NS per round plus
-#: _REPLICA_ROUND_NS per running replica and round, over the bounds of
-#: :func:`_sampling_ns`, and refused beyond lumped's stepping cap of 300 s:
-#: an upper envelope of 57-63 us per round (one replica, q 1) and 98-156 ns
-#: per replica-round (20 000 replicas, q from 1 to 1e-6), best and worst of
-#: 3 on a 2-core Xeon.
-_ROUND_NS = 100_000
-_REPLICA_ROUND_NS = 250
-
-#: Partial sums of the eight signs in each byte value, read as
-#: np.unpackbits reads it (most significant bit first, 1 is +1 and 0 is
-#: -1), and the net step and the lowest partial sum of each byte.
-_BYTE_PATHS = np.cumsum(
-    np.unpackbits(np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1).astype(np.int8) * 2 - 1,
-    axis=1,
-    dtype=np.int8,
-)
-_BYTE_END = _BYTE_PATHS[:, -1]
-_BYTE_LOW = _BYTE_PATHS.min(axis=1)
+#: numpy's Poisson sampler takes means up to about 2^63 - 3e10 only.  A
+#: mean above this cap is more than 2^62 - 2^36 beyond any t_cap, so its
+#: Poisson is at most t_cap with chance below exp(-2^59), and the hitting
+#: sampler leaves the replica unhit without the draw.
+_POISSON_MEAN_CAP = 2.0**63 - 2.0**36
 
 
 @dataclass(frozen=True)
@@ -174,44 +168,6 @@ def _binomial_weights(steps: int, q: float, window: tuple[int, int, int]):
         np.cumsum(logw[::-1], out=logw[::-1])
         low = logw[0]
         yield start, np.exp(logw, out=logw)
-
-
-def _capped_sum(scale: float, rounds: int) -> float:
-    """An upper bound, in closed form, on the sum over b < ``rounds`` of
-    min(1, scale / sqrt(_BLOCK b - 1)), its b = 0 term 1.
-
-    The terms are 1 up to b = floor((scale^2 + 1) / _BLOCK).  Past them they
-    decrease, so their sum from the first one below 1, at b = a, is at most
-    the term at a plus the integral of scale / sqrt(_BLOCK x - 1) from a to
-    rounds - 1, which is 2 scale sqrt(_BLOCK x - 1) / _BLOCK.
-    """
-    ones = min(rounds, math.floor((scale * scale + 1.0) / _BLOCK) + 1)
-    if ones >= rounds:
-        return float(rounds)
-    first = math.sqrt(_BLOCK * ones - 1.0)
-    last = math.sqrt(_BLOCK * (rounds - 1.0) - 1.0)
-    return ones + scale * (1.0 / first + 2.0 * (last - first) / _BLOCK)
-
-
-def _sampling_ns(params: WalkParams, t_cap: int, replicas: int) -> int:
-    """The estimated nanoseconds of :func:`hitting_time_samples`.
-
-    A replica still running after b rounds has made _BLOCK b jumps without
-    a hit, and the walk from 0 sits in (-m, m] after j jumps with
-    probability at most m C(j, j // 2) / 2^j <= m sqrt(2 / (pi (j - 1))).
-    Past B = ceil(hi / _BLOCK) rounds, hi the top of
-    :func:`_bernstein_window` (t_cap, q), a replica has made more jumps
-    than t_cap steps hold, but with probability at most 2^-64.  So the
-    expected rounds are at most the sum over b < B of
-    min(1, replicas m sqrt(2 / (pi (_BLOCK b - 1)))), and the expected
-    replica-rounds replicas times that sum without the factor replicas;
-    :func:`_capped_sum` gives both.
-    """
-    rounds = -(-_bernstein_window(t_cap, params.q)[2] // _BLOCK)
-    per_replica = params.start * math.sqrt(2.0 / math.pi)
-    estimate = _ROUND_NS * _capped_sum(replicas * per_replica, rounds)
-    estimate += _REPLICA_ROUND_NS * replicas * _capped_sum(per_replica, rounds)
-    return math.ceil(estimate)
 
 
 def _central_table(size: int) -> np.ndarray:
@@ -342,14 +298,14 @@ def _geometric_from_uniform(
     """Inverse-CDF geometric on {0, 1, ...}: floor(log(1-u)/log(1-q)).
 
     The failures before the first success, whose wait is this plus one:
-    the steps held before a jump of the merge sampler, and a collector
-    wait less one.  Monotone in the success probability for a fixed
-    uniform: a smaller q (flatter log) gives a pathwise larger value,
-    which is what makes the shared-uniform clock comparison work.  q = 1
-    (log1m_q = -inf) gives 0.  A tiny q can give values past int64: they
-    saturate at 2**62, which ends any merge replica with t_cap below 2**62
-    as late and keeps a clock plus a hold inside int64; smaller values
-    keep their bits.  The quotient is nonnegative, so the int64 cast
+    the steps held before a jump of the merge sampler, the N = (tau_1 - 1) / 2
+    of an excursion of the hitting sampler, and a collector wait less one.
+    Monotone in the success probability for a fixed uniform: a smaller q
+    (flatter log) gives a pathwise larger value, which is what makes the
+    shared-uniform clock comparison work.  q = 1 (log1m_q = -inf) gives
+    0.  A tiny q can give values past int64: they saturate at 2**62, which
+    ends any merge replica with t_cap below 2**62 as late and keeps a
+    clock plus a hold inside int64; smaller values keep their bits.  The quotient is nonnegative, so the int64 cast
     truncates it as floor would.  The float work runs in ``out`` (which
     may be ``u`` itself) or in a new array.
     """
@@ -378,69 +334,62 @@ def hitting_time_samples(
 
     The walk's jump chain makes a fair +1/-1 jump after each hold, and
     the holds are iid Geom(q) on {1, 2, ...}, independent of the signs.
-    Each round draws ``_BLOCK`` signs per running replica as random bits
-    and finds the lowest partial sum of the block from per-byte tables;
-    only a replica whose minimum reaches -position has its bits unpacked
-    to find its first jump to 0.  The holds of the r jumps used
-    (r = ``_BLOCK``, or the index of the hitting jump) sum to
-    r + NB(r, q), drawn as one number.  A hit after t_cap, or a block
-    without a hit that ends after t_cap, leaves the sentinel t_cap + 1:
-    any later hit is later still.  Each jump takes at least one step, so
-    a start beyond t_cap returns the sentinels without a draw.  Returns
-    (times, hit).  Raises ValueError when q is too small for numpy's
-    negative-binomial sampler (below about 1e-17), or, before any draw,
-    when the run is estimated beyond the cap of 300 s (see
-    :func:`_sampling_ns`).
+    The jumps to reach 0 from m are tau_m, the sum of m iid excursion
+    lengths tau_1 = 2N + 1, with P[N >= n] = C(2n, n) / 4^n (Feller vol. 1,
+    ch. III).  That is E[X^n] for X ~ Beta(1/2, 1/2), so N given X is
+    Geom(1 - X) on {0, 1, ...}: each excursion takes 1 - X = sin^2(pi U / 2)
+    and log X = log1p(-(1 - X)), so that a long excursion (X near 1) keeps
+    its relative precision, and N by inverse CDF.  The sum of the N is
+    kept exactly in int64 and saturated where tau_m passes t_cap.  The
+    holds beyond one per jump are NB(tau_m, q), drawn as
+    Poisson(Gamma(tau_m, (1 - q) / q)).  A gamma above 2 t_cap + 1024 leaves
+    the replica unhit without a Poisson draw: such a Poisson is at most
+    t_cap with chance below exp(-(1 - log 2) / 2 * 1024) < e^-128.  A time
+    beyond t_cap leaves the sentinel t_cap + 1.  Each jump takes at least
+    one step, so a start beyond t_cap returns the sentinels without a draw.
+    Memory is a few arrays of ``replicas`` entries.  Returns (times, hit).
+    Raises ValueError, before anything is allocated, when the run is
+    estimated beyond the cap of 300 s (see ``_EXCURSION_NS``).
     """
     _check_batch(t_cap, replicas)
+    m, q = params.start, params.q
+    what = f"the hitting sampler with m={m}, q={q}, t_cap={t_cap} and replicas={replicas}"
+    passes = min(m, t_cap + 1)
+    _refuse_stepping(passes * (_PASS_NS + replicas * _EXCURSION_NS), what, ValueError, "sampling")
     times = np.full(replicas, t_cap + 1, dtype=np.int64)
     hit = np.zeros(replicas, dtype=bool)
-    if params.start > t_cap:
+    if m > t_cap:
         return times, hit
-    what = f"the hitting sampler with m={params.start}, q={params.q}, t_cap={t_cap}"
-    what += f" and replicas={replicas}"
-    _refuse_stepping(_sampling_ns(params, t_cap, replicas), what, ValueError, "sampling")
-    # the running replicas: their indices, positions and clocks
-    gid = np.arange(replicas)
-    pos = np.full(replicas, params.start, dtype=np.int64)
-    clock = np.zeros(replicas, dtype=np.int64)
-    while gid.size:
-        bits = rng.integers(0, 256, (_BLOCK // 8, gid.size), dtype=np.uint8)
-        # position after each byte and lowest partial sum within it; the
-        # partial sums stay within +-_BLOCK, so int8 holds them
-        end = _BYTE_END[bits]
-        np.cumsum(end, axis=0, out=end)
-        low = _BYTE_LOW[bits]
-        low[1:] += end[:-1]
-        near = np.flatnonzero(pos <= -low.min(axis=0))
-        path = np.unpackbits(bits[:, near], axis=0).view(np.int8)
-        path <<= 1
-        path -= 1
-        np.cumsum(path, axis=0, out=path)
-        # a hitting replica starts within _BLOCK of 0, so -pos fits int8
-        first = np.argmax(path == -pos[near].astype(np.int8), axis=0)
-        pos += end[-1]
-        del bits, end, low, path  # freed before the holds' draw
-        used = np.full(gid.size, _BLOCK)
-        used[near] = first + 1
-        # used >= 1, so a ValueError is numpy's range check on used(1-q)/q,
-        # which overflows on the way for a subnormal q
-        try:
-            with np.errstate(over="ignore"):
-                holds = rng.negative_binomial(used, params.q)
-        except ValueError:
-            raise ValueError(
-                f"move probability q={params.q} is too small for the negative-binomial holds"
-            ) from None
-        clock += used
-        late = holds > t_cap - clock
-        clock += holds  # can wrap only in late replicas, which leave
-        ended = near[~late[near]]
-        times[gid[ended]] = clock[ended]
-        hit[gid[ended]] = True
-        still = ~late
-        still[near] = False
-        gid, pos, clock = gid[still], pos[still], clock[still]
+    # tau_m = m + 2 S for S the sum of the N, and S >= cap means tau_m > t_cap;
+    # S < cap <= 2^61 and N <= 2^62 before the saturation, so S + N fits int64
+    cap = (t_cap - m) // 2 + 1
+    half = np.zeros(replicas, dtype=np.int64)
+    uniforms = np.empty((2, replicas))
+    log_x, wait = uniforms
+    # U in (0, 1], so that 1 - X > 0 and the quotient is never 0 / 0; at
+    # U = 1, X rounds to 0 and log X = -inf gives N = 0
+    with np.errstate(divide="ignore"):
+        for _ in range(m):
+            rng.random(out=uniforms)
+            np.subtract(1.0, log_x, out=log_x)
+            log_x *= np.pi / 2.0
+            np.sin(log_x, out=log_x)
+            np.square(log_x, out=log_x)
+            np.negative(log_x, out=log_x)
+            np.log1p(log_x, out=log_x)
+            half += _geometric_from_uniform(wait, log_x, out=wait)
+            np.minimum(half, cap, out=half)
+    ran = np.flatnonzero(half < cap)
+    jumps = 2 * half[ran] + m
+    # q = 1 gives scale 0 and no holds; a subnormal q can give scale inf
+    mean = rng.standard_gamma(jumps.astype(np.float64))
+    mean *= (1.0 - q) / q
+    drawn = np.flatnonzero(mean <= min(2.0 * t_cap + 1024.0, _POISSON_MEAN_CAP))
+    ran, jumps = ran[drawn], jumps[drawn]
+    holds = rng.poisson(mean[drawn])
+    ended = holds <= t_cap - jumps
+    times[ran[ended]] = jumps[ended] + holds[ended]
+    hit[ran[ended]] = True
     return times, hit
 
 

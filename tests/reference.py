@@ -3,7 +3,7 @@
 Each one derives a quantity the package samples by a route that shares
 no sampling code with it: an exact linear solve for the mean merge
 time, the pure-death chain for the law of the collection time, the
-per-jump walk for the law of the blocked hitting sampler, the per-jump
+per-jump walk for the law of the first-passage hitting sampler, the per-jump
 pair for the merge sampler's run, and that walk run next to the pair
 from the same uniforms as its dominating walk.  Two more keep scipy
 routes to exact quantities: the walk's survival through the regularized

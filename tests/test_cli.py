@@ -1,6 +1,7 @@
 """End-to-end CLI behavior and the experiment runners behind it."""
 
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -147,15 +148,39 @@ def test_cli_allocation_failure_exits_cleanly(tmp_path, monkeypatch, capsys):
     )
 
 
-def test_cli_hitting_with_a_tiny_move_probability_exits_cleanly(tmp_path, capsys):
-    """A q the hold sampler cannot take is exit 1 with one line, not a wrapped time."""
-    cfg = _write_config(tmp_path, "c.json", {"kind": "hitting", "m": 1, "q": 1e-19,
-                                             "steps_values": [1000], "replicas": 5})
-    assert cli.main(["hitting", "--config", cfg]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: move probability q=1e-19 ")
-    assert captured.err.count("\n") == 1
+def _hitting_rows(tmp_path, payload, *args):
+    """Run a hitting config through the CLI in a child process; its json rows."""
+    cfg = _write_config(tmp_path, "c.json", dict(payload, kind="hitting"))
+    out = tmp_path / "result.json"
+    result = _run_cli(["hitting", "--config", cfg, "--format", "json", "--out", str(out), *args],
+                      tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "" and result.stderr == ""
+    return json.loads(out.read_text(encoding="utf-8"))["rows"]
+
+
+def _assert_simulated_near_exact(rows, replicas):
+    for _, exact, simulated, _ in rows:
+        assert abs(simulated - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / replicas)
+
+
+def test_cli_hitting_with_a_tiny_move_probability_exits_cleanly(tmp_path):
+    """A q far below numpy's negative-binomial range exits 0: the holds'
+    gamma mean passes 2 t_cap + 1024, so every replica keeps the sentinel
+    and the simulated survival is 1."""
+    rows = _hitting_rows(tmp_path, {"m": 1, "q": 1e-19, "steps_values": [1000], "replicas": 5})
+    assert [row[2:] for row in rows] == [[1.0, 0.0]]
+
+
+def test_cli_hitting_with_rare_moves_and_a_far_cap_exits_cleanly(tmp_path):
+    """Holds of about 10^13 per jump over up to 10^18 steps take
+    NB(tau_m, q) far outside numpy's negative-binomial range; drawn as
+    Poisson(Gamma), the run exits 0 with the simulated survival within
+    4 sigma of the exact 0.99843."""
+    rows = _hitting_rows(tmp_path, {"m": 1000, "q": 1e-13, "steps_values": [10**18],
+                                    "replicas": 1000})
+    assert 0.998 < rows[0][1] < 0.999
+    _assert_simulated_near_exact(rows, 1000)
 
 
 @pytest.mark.parametrize("payload", [
@@ -439,21 +464,15 @@ def test_hitting_record_from_beyond_the_horizon_survives():
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_cli_hitting_refuses_a_sampler_of_hours(tmp_path, seed):
-    """m 1, q 1 and t_cap 10^15 with 1000 replicas once ran 2 to 11 s at
-    seeds 1-3 and over 30 s at seed 4; its expected rounds alone are
-    estimated at about 8*10^4 s, so it is exit 1 with one line, in seconds."""
-    cfg = _write_config(tmp_path, "c.json", {"kind": "hitting", "m": 1, "q": 1,
-                                             "steps_values": [10**15], "replicas": 1000})
+    """m 1, q 1 and t_cap 10^15 with 1000 replicas once ran 2 to over 30 s
+    jump by jump, and then was refused; drawn from the first-passage law it
+    is one excursion a replica, and exits 0 in seconds with the simulated
+    survival within 4 sigma of the exact one (about 2.5e-8)."""
     start = time.monotonic()
-    result = _run_cli(["hitting", "--config", cfg, "--seed", str(seed)], tmp_path)
+    rows = _hitting_rows(tmp_path, {"m": 1, "q": 1, "steps_values": [10**15], "replicas": 1000},
+                         "--seed", str(seed))
     assert time.monotonic() - start < 10.0
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith(
-        "error: the hitting sampler with m=1, q=1.0, t_cap=1000000000000000 and replicas=1000 "
-        "is beyond the cap of 300 s of sampling, at an estimated "
-    )
-    assert result.stderr.count("\n") == 1
+    _assert_simulated_near_exact(rows, 1000)
 
 
 def test_cli_coupling_refuses_a_time_beyond_the_stepping_cap(tmp_path):
@@ -480,15 +499,19 @@ def test_cli_coupling_refuses_a_time_beyond_the_stepping_cap(tmp_path):
     ({"kind": "hitting", "m": 1, "q": 0.5, "steps_values": [4 * 10**18]},
      "error: the exact survival with m=1, steps=4000000000000000000 and q=0.5 is beyond "
      "the cap of 300 s of summing, "),
+    ({"kind": "hitting", "m": 10**9, "q": 1, "steps_values": [10**15]},
+     "error: the hitting sampler with m=1000000000, q=1.0, t_cap=1000000000000000 and "
+     "replicas=100000 is beyond the cap of 300 s of sampling, "),
     ({"kind": "oracle-check", "t_max": 10**8},
      "config error: 't_max' must be <= 10000, got 100000000\n"),
-], ids=["coupling", "tv-curve", "bounds", "hitting", "oracle-check"])
+], ids=["coupling", "tv-curve", "bounds", "hitting", "hitting-sampler", "oracle-check"])
 def test_cli_refuses_hours_of_work_at_once(tmp_path, payload, prefix):
     """Stepping 10^9 times at k = 10 (about 10^4 s estimated), drawing
     4*10^10 collector waits (4 to 6 minutes at 5.4 to 8.4 ns a wait), summing the walk's
-    survival over 1.9*10^10 move counts (73 minutes estimated) or an
-    oracle check to t = 10^8 is exit 1 with one line, in seconds; the
-    hitting run draws no sample first."""
+    survival over 1.9*10^10 move counts (73 minutes estimated), drawing
+    10^14 excursions of the walk (4*10^6 s estimated; its survival is 1
+    without a sum) or an oracle check to t = 10^8 is exit 1 with one line,
+    in seconds; the hitting run draws no sample first."""
     cfg = _write_config(tmp_path, "c.json", payload)
     start = time.monotonic()
     result = _run_cli([payload["kind"], "--config", cfg], tmp_path)

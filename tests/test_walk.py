@@ -303,73 +303,11 @@ def test_hitting_from_the_cap_can_still_hit():
     assert abs(hit.mean() - 1 / 8) < 4.0 * sigma
 
 
-def test_capped_sum_bounds_the_sum_from_above():
-    """The closed form of the preflight's sum is an upper bound on the sum
-    term by term, and not much looser."""
-    for scale in (0.01, 0.8, 5.0, 7.9, 8.1, 40.0, 798.0, 1e4):
-        for rounds in (1, 2, 3, 10, 32, 1000, 10**5):
-            terms = [1.0] + [min(1.0, scale / math.sqrt(64 * b - 1)) for b in range(1, rounds)]
-            exact = math.fsum(terms)
-            closed = walk._capped_sum(scale, rounds)
-            assert exact <= closed * (1 + 1e-15) and closed <= 1.2 * exact + 1.0
-
-
-class _CountingStream:
-    """A generator that counts the hitting sampler's rounds and replica-rounds."""
-
-    def __init__(self, rng):
-        self.rng, self.rounds, self.replica_rounds = rng, 0, 0
-
-    def integers(self, low, high, shape, dtype):
-        self.rounds += 1
-        self.replica_rounds += shape[1]
-        return self.rng.integers(low, high, shape, dtype=dtype)
-
-    def negative_binomial(self, n, p):
-        return self.rng.negative_binomial(n, p)
-
-
-def _preflight_sums(m, q, t_cap, replicas):
-    """The preflight's bounds on the expected rounds and replica-rounds."""
-    rounds = -(-walk._bernstein_window(t_cap, q)[2] // walk._BLOCK)
-    per_replica = m * math.sqrt(2.0 / math.pi)
-    return (walk._capped_sum(replicas * per_replica, rounds),
-            replicas * walk._capped_sum(per_replica, rounds))
-
-
-@pytest.mark.parametrize("m, t_cap, replicas", [
-    (1, 10**5, 2000), (1, 10**4, 1), (7, 3 * 10**4, 50),
-])
-def test_hitting_preflight_bounds_the_expected_rounds(m, t_cap, replicas):
-    """At q = 1 a replica runs round b exactly when it has not hit 0 in
-    _BLOCK b steps, within t_cap, so the expected rounds and replica-rounds
-    are sums of survival_exact; the preflight's closed forms bound both."""
-    survival = [walk.survival_exact(m, walk._BLOCK * b, 1.0)
-                for b in range(-(-t_cap // walk._BLOCK))]
-    rounds = math.fsum(1.0 - (1.0 - s) ** replicas for s in survival)
-    replica_rounds = replicas * math.fsum(survival)
-    round_bound, replica_round_bound = _preflight_sums(m, 1.0, t_cap, replicas)
-    assert rounds <= round_bound
-    assert replica_rounds <= replica_round_bound <= 1.2 * replica_rounds + replicas
-
-
-def test_hitting_preflight_at_the_benchmark_size():
-    """The benchmark's hitting op ran 28 rounds and 4.7e5 replica-rounds,
-    within the sums (about 32 and 6.3e5); its estimate is far below the cap."""
-    params = WalkParams(0.04, 50)
-    stream = _CountingStream(replica_stream(36, 0))
-    hitting_time_samples(params, 40_000, 20_000, stream)
-    round_bound, replica_round_bound = _preflight_sums(50, 0.04, 40_000, 20_000)
-    assert stream.rounds <= round_bound
-    assert stream.replica_rounds <= replica_round_bound
-    estimate = walk._ROUND_NS * round_bound + walk._REPLICA_ROUND_NS * replica_round_bound
-    assert walk._sampling_ns(params, 40_000, 20_000) == math.ceil(estimate) < 10**9
-
-
 def test_hitting_sampler_runs_at_the_cap_and_is_refused_below_it(monkeypatch):
-    """Refused in one line, before any draw, one nanosecond below its estimate."""
+    """Refused in one line, before any draw, one nanosecond below its estimate:
+    three passes of 50 excursions."""
     params = WalkParams(0.5, 3)
-    estimate = walk._sampling_ns(params, 200, 50)
+    estimate = 3 * (walk._PASS_NS + 50 * walk._EXCURSION_NS)
     monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate)
     hitting_time_samples(params, 200, 50, replica_stream(37, 0))
     monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate - 1)
@@ -461,7 +399,7 @@ def test_merge_at_the_cap_is_done_not_late():
 
 @pytest.mark.parametrize("q,m,t_cap", [(0.3, 2, 500), (1.0, 1, 60), (0.04, 50, 4000)])
 def test_hitting_sampler_follows_the_per_jump_law(q, m, t_cap):
-    """Blocked signs with negative-binomial holds against the per-jump walk."""
+    """First-passage excursions with Poisson-gamma holds against the per-jump walk."""
     got, got_hit = hitting_time_samples(WalkParams(q, m), t_cap, 5000, np.random.default_rng(6))
     start = np.full(5000, m, dtype=np.int64)
     [(ref, _)] = _side_by_side([_walk_process(start, q)], t_cap, np.random.default_rng(7))
@@ -469,16 +407,55 @@ def test_hitting_sampler_follows_the_per_jump_law(q, m, t_cap):
     assert stats.ks_2samp(got, ref).pvalue > 0.01
 
 
-@pytest.mark.parametrize("m", [1, 63, 64, 65])
-def test_hitting_survival_across_the_block_edge(m):
-    """Starts on both sides of the block size: a first block can reach 0 from 64, not 65."""
-    q, replicas = 0.5, 20_000
-    grid = sorted({m, 4 * m, m * m, 4 * m * m})
-    times, _ = hitting_time_samples(WalkParams(q, m), grid[-1], replicas, replica_stream(32, m))
-    for t in grid:
-        ref = survival_exact(m, t, q)
-        sigma = math.sqrt(max(ref * (1.0 - ref), 1e-4) / replicas)
-        assert abs(float(np.mean(times > t)) - ref) < 4.0 * sigma
+@pytest.mark.parametrize("m, q, t_cap", [(1, 1.0, 200), (2, 0.25, 400), (7, 0.1, 3000),
+                                         (65, 0.5, 20_000)])
+def test_hitting_times_follow_the_first_passage_law(m, q, t_cap):
+    """One-sample KS of the capped times against their exact CDF,
+    1 - survival_exact up to t_cap and 1 at the sentinel.  Both CDFs step on
+    the integers and the empirical one is flat between sample values, so the
+    supremum of the gap is at a sample value or at the integer below it.
+    For a discrete law the continuous KS tail overstates the p-value."""
+    replicas = 4000
+    times, _ = hitting_time_samples(WalkParams(q, m), t_cap, replicas, replica_stream(38, m))
+
+    def cdf(s):
+        return 1.0 - survival_exact(m, s, q) if s <= t_cap else 1.0
+
+    values, counts = np.unique(times, return_counts=True)
+    at = np.cumsum(counts) / replicas
+    below = at - counts / replicas
+    gap = max(max(abs(a - cdf(s)), abs(b - cdf(s - 1))) for s, a, b in zip(values, at, below))
+    assert stats.kstwo.sf(gap, replicas) > 0.01
+
+
+class _LongExcursions:
+    """A generator whose every second replica draws the longest excursions:
+    U = 2^-53, so 1 - X is about 3e-32 and N saturates."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, out):
+        self.rng.random(out=out)
+        out[0, 1::2] = 1.0 - 2.0**-53
+
+    def standard_gamma(self, shape):
+        return self.rng.standard_gamma(shape)
+
+    def poisson(self, lam):
+        return self.rng.poisson(lam)
+
+
+def test_hitting_at_the_largest_time_cap_stays_in_int64():
+    """At t_cap = 2^62 - 1 the running sums saturate at the cap without a
+    wrap: replicas with saturated excursions miss at exactly 2^62, and the
+    others hit by t_cap (a miss of theirs has chance about 1.6e-9)."""
+    t_cap = 2**62 - 1
+    times, hit = hitting_time_samples(WalkParams(0.5, 3), t_cap, 2000,
+                                      _LongExcursions(replica_stream(39, 0)))
+    assert (hit == (np.arange(2000) % 2 == 0)).all()
+    assert (times[~hit] == 2**62).all()
+    assert (times[hit] >= 3).all() and (times[hit] <= t_cap).all()
 
 
 @pytest.mark.parametrize("m", [1, 2, 63, 64, 65])
@@ -497,9 +474,11 @@ def test_hitting_with_no_time_hits_nothing():
 
 @pytest.mark.parametrize("q", [1e-19, 5e-324])
 def test_tiny_move_probability_raises_naming_q(q):
-    """Below numpy's negative-binomial range the sampler says so; it never wraps."""
-    with pytest.raises(ValueError, match=f"q={q}"):
-        hitting_time_samples(WalkParams(q, 1), 1000, 5, replica_stream(34, 0))
+    """Far below numpy's negative-binomial range nothing raises and nothing
+    wraps: the holds' gamma mean passes 2 t_cap + 1024 (or is inf), so every
+    replica keeps the sentinel without a Poisson draw."""
+    times, hit = hitting_time_samples(WalkParams(q, 1), 1000, 5, replica_stream(34, 0))
+    assert not hit.any() and (times == 1001).all()
 
 
 def test_geometric_hold_saturates_instead_of_wrapping():
@@ -520,8 +499,9 @@ def test_geometric_hold_saturates_instead_of_wrapping():
     )
 
 
-def test_hitting_sampler_memory_stays_within_its_blocks():
-    """At the benchmark's size a (replicas x block) int64 temporary (10 MB) must not appear."""
+def test_hitting_sampler_memory_stays_within_its_buffers():
+    """At the benchmark's size no (replicas x m) temporary (8 MB) may
+    appear: the sampler works in arrays of the batch's size (160 KB each)."""
     tracemalloc.start()
     try:
         hitting_time_samples(WalkParams(0.04, 50), 4000, 20_000, replica_stream(35, 0))
