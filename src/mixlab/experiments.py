@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 
 import numpy as np
@@ -125,6 +124,8 @@ def run_sweep(config: ExperimentConfig) -> ResultRecord:
     meta["k_rule"] = f"{config.k_rule[0]}:{_label(config.k_rule[1])}"
     meta["n_grid"] = ",".join(str(n) for n in config.n_grid)
     if config.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only when used
+
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             chunks = list(pool.map(lambda n: _sweep_point(config, n), config.n_grid))
     else:

@@ -75,7 +75,8 @@ _TV_WOBBLE = 1e-12
 #: 10.7-14.3 at 2000, 31-45 at 20 000 and 397-571 at 2*10^5 on a 2-core Xeon
 #: (estimated 10, 10.9, 16, 70 and 610).  At 3 ns an entry, no run beyond
 #: 10^11 state-steps t (k + 1) passes.  d_curve also refuses more rows than
-#: _CURVE_ROWS: 70 MB of profile and 130 to 270 MB of csv or json text.
+#: _CURVE_ROWS: 70 MB of profile, and an output file of 130 to 270 MB of csv
+#: or json text, which is written a chunk at a time and never held whole.
 _STEPPING_CAP_NS = 300 * 10**9
 _STEP_NS = 10_000
 _STATE_STEP_NS = 3

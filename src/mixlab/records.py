@@ -8,9 +8,11 @@ rerunning an experiment with the same config and seed reproduces the
 output byte for byte.
 
 The rows may be any sequence whose slices are lists of tuples, such as
-one that builds its rows from arrays on demand.  Both formats render
-them 1024 rows at a time, so no more row objects than that exist at
-once.
+one that builds its rows from arrays on demand.  :func:`render` makes
+the text of one chunk of 1024 rows, and :func:`write_record` writes each
+chunk as it is made, so no more row objects and text than one chunk's
+exist at once.  csv and json are two templates of that chunk loop: a
+head, the chunks with a break between two of them, and a tail.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -67,10 +71,6 @@ _JSON_CELLS = {int, float, str, bool, type(None)}
 _CELL_BREAK = ",\n      "
 _ROW_BREAK = "\n    ],\n    [\n      "
 
-#: Characters handed to a text stream per write, so that it never
-#: encodes a second copy of the whole text.
-_WRITE_CHARS = 1 << 16
-
 
 def _printf_rows(rows: list[tuple], width: int) -> str | None:
     """The csv text of ``rows`` from one printf template, or None when a
@@ -98,77 +98,97 @@ def _printf_rows(rows: list[tuple], width: int) -> str | None:
     return text
 
 
-def to_csv_text(record: ResultRecord) -> str:
-    """The record as csv text: the bytes of ``csv.writer`` on cells
-    formatted by :func:`format_cell`, written a chunk of rows at a time
-    from one printf template where the cells allow it."""
+def _csv_lines(rows) -> str:
+    """The lines ``csv.writer`` writes for ``rows``."""
     buf = io.StringIO()
-    for key in sorted(record.meta):
-        buf.write(f"# {key}={format_cell(record.meta[key])}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(record.columns)
-    for start in range(0, len(record.rows), _CHUNK_ROWS):
-        chunk = record.rows[start : start + _CHUNK_ROWS]
-        text = _printf_rows(chunk, len(record.columns))
-        if text is None:
-            writer.writerows([format_cell(v) for v in row] for row in chunk)
-        else:
-            buf.write(text)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def to_json_text(record: ResultRecord) -> str:
-    """The record as the text of ``json.dumps(payload, sort_keys=True,
-    indent=2)`` plus a newline, with the rows dumped a chunk at a time.
+def _csv_head(record: ResultRecord) -> str:
+    meta = "".join(f"# {key}={format_cell(record.meta[key])}\n" for key in sorted(record.meta))
+    return meta + _csv_lines([record.columns])
 
-    "rows" sorts last among the payload's keys, so the text is the rest
-    of the payload with the rows' array appended before its closing
-    brace; each chunk's array loses its brackets and is indented one
-    level deeper (a JSON string holds no raw line break).  A chunk of
-    nonempty rows of ``_JSON_CELLS`` cells is dumped by the C encoder
-    (``indent`` None) with the indented cell break as its separator, and
-    "]" + that break + "[", which only a row break can hold, is replaced.
-    """
+
+def _csv_rows(rows: list[tuple], width: int) -> str:
+    """A chunk of csv rows: the bytes of ``csv.writer`` on cells formatted
+    by :func:`format_cell`, from one printf template where the cells allow
+    it."""
+    text = _printf_rows(rows, width)
+    if text is None:
+        text = _csv_lines([format_cell(v) for v in row] for row in rows)
+    return text
+
+
+def _json_head(record: ResultRecord) -> str:
     head = json.dumps(
         {"experiment": record.experiment, "meta": record.meta, "columns": record.columns},
         sort_keys=True,
         indent=2,
     )
-    parts = [head[:-2], ',\n  "rows": [']
-    for start in range(0, len(record.rows), _CHUNK_ROWS):
-        chunk = [list(row) for row in record.rows[start : start + _CHUNK_ROWS]]
-        if all(chunk) and set(map(type, chain.from_iterable(chunk))) <= _JSON_CELLS:
-            text = json.dumps(chunk, separators=(_CELL_BREAK, ": "))
-            text = "\n    [\n      " + text[2:-2].replace("]" + _CELL_BREAK + "[", _ROW_BREAK)
-            text += "\n    ]"
-        else:
-            text = json.dumps(chunk, sort_keys=True, indent=2)[1:-2].replace("\n", "\n  ")
-        parts += ("," if start else "", text)
-    parts.append("\n  ]\n}\n" if record.rows else "]\n}\n")
-    return "".join(parts)
+    return head[:-2] + ',\n  "rows": ['
 
 
-def render(record: ResultRecord, fmt: str) -> str:
-    if fmt == "csv":
-        return to_csv_text(record)
-    if fmt == "json":
-        return to_json_text(record)
-    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+def _json_rows(rows: list[tuple], width: int) -> str:
+    """A chunk of the json text's "rows" array, without its brackets and
+    indented one level deeper (a JSON string holds no raw line break).
+
+    Nonempty rows of ``_JSON_CELLS`` cells are dumped by the C encoder
+    (``indent`` None) with the indented cell break as its separator, and
+    "]" + that break + "[", which only a row break can hold, is replaced.
+    """
+    chunk = [list(row) for row in rows]
+    if all(chunk) and set(map(type, chain.from_iterable(chunk))) <= _JSON_CELLS:
+        text = json.dumps(chunk, separators=(_CELL_BREAK, ": "))
+        text = text[2:-2].replace("]" + _CELL_BREAK + "[", _ROW_BREAK)
+        return "\n    [\n      " + text + "\n    ]"
+    return json.dumps(chunk, sort_keys=True, indent=2)[1:-2].replace("\n", "\n  ")
+
+
+def _json_tail(record: ResultRecord) -> str:
+    return "\n  ]\n}\n" if record.rows else "]\n}\n"
+
+
+#: Per format: the head's text, a chunk's text, the break between two
+#: chunks and the tail's text.  The json text is that of
+#: ``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline:
+#: "rows" sorts last among the payload's keys, so the head is the rest of
+#: the payload opening the rows' array.
+_FORMATS = {
+    "csv": (_csv_head, _csv_rows, "", lambda record: ""),
+    "json": (_json_head, _json_rows, ",", _json_tail),
+}
+
+
+def _format(fmt: str):
+    try:
+        return _FORMATS[fmt]
+    except KeyError:
+        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}") from None
+
+
+def render(record: ResultRecord, fmt: str, start: int) -> str:
+    """The text of rows ``start .. start + _CHUNK_ROWS - 1``: the head
+    comes before it when ``start`` is 0, and the tail after it when it
+    holds the last row.  A record with no rows is the one call at 0."""
+    head, body, between, tail = _format(fmt)
+    rows = record.rows[start : start + _CHUNK_ROWS]
+    text = head(record) if start == 0 else between
+    if rows:
+        text += body(rows, len(record.columns))
+    if start + _CHUNK_ROWS >= len(record.rows):
+        text += tail(record)
+    return text
 
 
 def write_record(record: ResultRecord, out: str | None, fmt: str) -> None:
-    """Write to a file, or stdout when no path is given, in slices of
-    ``_WRITE_CHARS`` characters."""
-    text = render(record, fmt)
+    """Write to a file, or stdout when no path is given, each chunk as
+    :func:`render` makes it."""
+    _format(fmt)  # an unknown format raises before the file is opened
+    starts = range(0, max(len(record.rows), 1), _CHUNK_ROWS)
     if out is None:
-        import sys
-
-        _write_slices(sys.stdout, text)
+        stream = nullcontext(sys.stdout)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write_slices(fh, text)
-
-
-def _write_slices(stream, text: str) -> None:
-    for start in range(0, len(text), _WRITE_CHARS):
-        stream.write(text[start : start + _WRITE_CHARS])
+        stream = open(out, "w", encoding="utf-8", newline="")
+    with stream as fh:
+        fh.writelines(render(record, fmt, start) for start in starts)

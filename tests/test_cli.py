@@ -207,11 +207,11 @@ def test_cli_tv_curve_refuses_an_oversized_curve(tmp_path, capsys, payload):
     assert "beyond the cap" in captured.err and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("fmt, bound", [("csv", 4_500_000), ("json", 8_000_000)])
-def test_cli_tv_curve_record_memory_is_bounded(tmp_path, fmt, bound):
-    """A 40 001-row curve is rendered from its arrays a chunk at a time:
-    the traced peak stays near the text itself (about 1.2 MB of csv and
-    2.6 MB of json), far below a tuple per row."""
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_tv_curve_record_memory_is_bounded(tmp_path, fmt):
+    """A 40 001-row curve is rendered from its arrays and written a chunk
+    at a time: the traced peak stays below the text itself (about 1.2 MB
+    of csv and 2.6 MB of json), far below a tuple per row."""
     cfg = _write_config(tmp_path, "c.json", {"kind": "tv-curve", "n": 400, "k": 20, "t_max": 40000})
     out = tmp_path / f"curve.{fmt}"
     tracemalloc.start()
@@ -222,7 +222,7 @@ def test_cli_tv_curve_record_memory_is_bounded(tmp_path, fmt, bound):
         tracemalloc.stop()
     assert code == 0
     assert out.read_text(encoding="utf-8").count("\n") >= 40001
-    assert peak < bound
+    assert peak < 2_000_000
 
 
 def test_cli_loads_no_scipy(tmp_path):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +25,14 @@ from mixlab.config import (
     parse_config,
 )
 from mixlab.exclusion import ModelParams
-from mixlab.experiments import run_experiment, run_oracle_check
-from mixlab.lumped import d_curve
+from mixlab.experiments import _CurveRows, run_experiment, run_oracle_check
+from mixlab.lumped import MixingProfile, d_curve
 from mixlab.records import (
     ResultRecord,
     _printf_rows,
     config_hash,
     format_cell,
     render,
-    to_csv_text,
-    to_json_text,
     write_record,
 )
 from reference import csv_reference, json_reference, tv_curve_rows
@@ -394,8 +393,22 @@ def _sample_record():
     )
 
 
-def test_csv_layout():
-    text = to_csv_text(_sample_record())
+def _written(record, fmt, tmp_path, capsys) -> str:
+    """The text write_record writes to a file, checked equal to what it
+    writes to stdout; the UTF-8 sizes of render's chunks, which the
+    benchmark counts as bytes rendered, add up to the file's size."""
+    path = tmp_path / f"out.{fmt}"
+    write_record(record, str(path), fmt)
+    data = path.read_bytes()
+    write_record(record, None, fmt)
+    assert capsys.readouterr().out.encode("utf-8") == data
+    starts = range(0, max(len(record.rows), 1), 1024)
+    assert sum(len(render(record, fmt, start).encode("utf-8")) for start in starts) == len(data)
+    return data.decode("utf-8")
+
+
+def test_csv_layout(tmp_path, capsys):
+    text = _written(_sample_record(), "csv", tmp_path, capsys)
     lines = text.splitlines()
     assert lines[0] == "# a=0.5"  # metadata keys come out sorted
     assert lines[1] == "# n=30"
@@ -406,7 +419,7 @@ def test_csv_layout():
     assert text.endswith("\n")
 
 
-def test_csv_rows_match_the_cell_by_cell_writer():
+def test_csv_rows_match_the_cell_by_cell_writer(tmp_path, capsys):
     """Printf rows give csv.writer's bytes; a chunk with a cell of another
     type, or a str that needs quoting, falls back to csv.writer."""
     odd = [
@@ -422,16 +435,16 @@ def test_csv_rows_match_the_cell_by_cell_writer():
         rows[1024 * (2 + i) + 5] = (i, 0.5, value)  # one str to quote per chunk
     rows += [("n=2,k=1", 1e-16), ("", "")]
     record = ResultRecord("x", {"version": "1", "k": None}, ["a", "b", "c"], rows)
-    assert to_csv_text(record) == csv_reference(record)
+    assert _written(record, "csv", tmp_path, capsys) == csv_reference(record)
     fallback = [_printf_rows(rows[start : start + 1024], 3) is None
                 for start in range(0, 1024 * (2 + len(quoted)), 1024)]
     assert fallback == [True, False] + [True] * len(quoted)
     for width, row in ((1, ("",)), (1, (0.25,)), (2, (1, 2.5)), (0, ())):
         one = ResultRecord("x", {}, ["c"] * width, [row, row])
-        assert to_csv_text(one) == csv_reference(one)
+        assert _written(one, "csv", tmp_path, capsys) == csv_reference(one)
 
 
-def test_json_text_is_one_dump_of_the_payload():
+def test_json_text_is_one_dump_of_the_payload(tmp_path, capsys):
     """Rows dumped a chunk at a time give the bytes of one json.dumps,
     through the C encoder where a chunk's cells allow it and through the
     indenting encoder where a chunk holds another type or an empty row."""
@@ -448,9 +461,9 @@ def test_json_text_is_one_dump_of_the_payload():
     rows[4100] = ()
     for meta, body in (({}, []), ({"k": None}, [(1, 0.5)]), ({"b": 1, "a": "x"}, rows)):
         record = ResultRecord("x", meta, ["a", "b", "c"], body)
-        assert to_json_text(record) == json_reference(record)
+        assert _written(record, "json", tmp_path, capsys) == json_reference(record)
     width_zero = ResultRecord("x", {}, [], [(), ()])
-    assert to_json_text(width_zero) == json_reference(width_zero)
+    assert _written(width_zero, "json", tmp_path, capsys) == json_reference(width_zero)
 
 
 #: tv-curve configs whose eps is reached at t = 0, and never within 2048 steps.
@@ -470,10 +483,10 @@ def _tv_curve_record(payload, t_max):
 
 @pytest.mark.parametrize("payload", [_REACHED, _UNREACHED], ids=["reached", "unreached"])
 @pytest.mark.parametrize("rows", [1, 2, 1023, 1024, 1025, 2049])
-def test_tv_curve_record_renders_as_its_row_list(payload, rows):
+def test_tv_curve_record_renders_as_its_row_list(payload, rows, tmp_path, capsys):
     record, eager = _tv_curve_record(payload, rows - 1)
-    assert to_csv_text(record) == csv_reference(eager)
-    assert to_json_text(record) == json_reference(eager)
+    assert _written(record, "csv", tmp_path, capsys) == csv_reference(eager)
+    assert _written(record, "json", tmp_path, capsys) == json_reference(eager)
 
 
 @pytest.mark.parametrize("payload", [_REACHED, _UNREACHED], ids=["reached", "unreached"])
@@ -494,17 +507,32 @@ def test_tv_curve_rows_index_as_their_list(payload):
 
 
 def test_write_record_writes_long_text_whole(tmp_path, capsys):
-    """A text of several write slices reaches a file and stdout unchanged."""
+    """Non-ASCII cells across several 64 KiB of text reach a file and
+    stdout unchanged."""
     rows = [(t, t / 3.0, "\u00e9" * (t % 5)) for t in range(12000)]
     record = ResultRecord("x", {"n": 1}, ["t", "d", "s"], rows)
-    for fmt in ("csv", "json"):
-        text = render(record, fmt)
+    for fmt, reference in (("csv", csv_reference), ("json", json_reference)):
+        text = _written(record, fmt, tmp_path, capsys)
         assert len(text) > 3 * 65536
-        path = tmp_path / f"out.{fmt}"
+        assert text == reference(record)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_record_holds_one_chunk(tmp_path, fmt):
+    """A record of 200 000 rows built from arrays on demand is written a
+    chunk at a time: the traced peak stays far below the text written."""
+    times = np.arange(200_000)
+    profile = MixingProfile(ModelParams(4, 2), times, times / 7.0)
+    record = ResultRecord("x", {"n": 1}, ["t", "d", "warning"], _CurveRows(profile, ""))
+    path = tmp_path / f"out.{fmt}"
+    tracemalloc.start()
+    try:
         write_record(record, str(path), fmt)
-        assert path.read_bytes() == text.encode("utf-8")
-        write_record(record, None, fmt)
-        assert capsys.readouterr().out == text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 4_000_000
+    assert peak < 1_000_000
 
 
 def test_readme_minimal_session_prints_its_comments():
@@ -519,8 +547,8 @@ def test_readme_minimal_session_prints_its_comments():
     assert printed == out.getvalue().splitlines()
 
 
-def test_json_layout():
-    text = to_json_text(_sample_record())
+def test_json_layout(tmp_path, capsys):
+    text = _written(_sample_record(), "json", tmp_path, capsys)
     assert text.endswith("\n")
     payload = json.loads(text)
     assert payload["experiment"] == "tv-curve"
@@ -531,15 +559,15 @@ def test_json_layout():
 def test_render_and_write(tmp_path, capsys):
     record = _sample_record()
     with pytest.raises(ValueError):
-        render(record, "yaml")
+        render(record, "yaml", 0)
     with pytest.raises(ValueError, match="format must be 'csv' or 'json'"):
         write_record(record, str(tmp_path / "out.yaml"), "yaml")
     assert not (tmp_path / "out.yaml").exists()
-    path = tmp_path / "out.csv"
-    write_record(record, str(path), "csv")
-    assert path.read_text(encoding="utf-8") == to_csv_text(record)
-    write_record(record, None, "json")
-    assert capsys.readouterr().out == to_json_text(record)
+    assert _written(record, "csv", tmp_path, capsys) == csv_reference(record)
+    assert _written(record, "json", tmp_path, capsys) == json_reference(record)
+    empty = ResultRecord("x", {"n": 1}, ["t", "d"], [])
+    assert _written(empty, "csv", tmp_path, capsys) == csv_reference(empty)
+    assert _written(empty, "json", tmp_path, capsys) == json_reference(empty)
 
 
 def test_package_version_matches_pyproject():
