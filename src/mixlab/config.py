@@ -67,7 +67,7 @@ def _number(lo_open: float, hi: float | None = None) -> Check:
     return check
 
 
-def _int_list(lo: int, min_len: int = 1) -> Check:
+def _int_list(lo: int, hi: int | None = None, min_len: int = 1) -> Check:
     def check(key, value):
         if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
             raise ConfigError([f"'{key}' must be a list of integers, got {value!r}"])
@@ -75,6 +75,8 @@ def _int_list(lo: int, min_len: int = 1) -> Check:
             raise ConfigError([f"'{key}' needs at least {min_len} entries, got {len(value)}"])
         if any(v < lo for v in value):
             raise ConfigError([f"every entry of '{key}' must be >= {lo}"])
+        if hi is not None and any(v > hi for v in value):
+            raise ConfigError([f"every entry of '{key}' must be <= {hi}"])
         return tuple(value)
 
     return check
@@ -136,6 +138,9 @@ COMMON: dict[str, tuple[Check, Any]] = {
 
 _N, _K = (_int(2), REQUIRED), (_int(1), REQUIRED)
 _REPLICAS = (_int(1), 100_000)
+#: Times and step counts: the samplers' time caps lie below 2**62, so that
+#: a cap plus one and a clock plus a saturated hold fit int64.
+_TIMES = (_int_list(0, 2**62 - 1), REQUIRED)
 
 #: Each kind's own keys: kind -> {key: (check, default or REQUIRED)}.
 #: Problems are reported in table order, common keys first.
@@ -148,14 +153,14 @@ SCHEMA: dict[str, dict[str, tuple[Check, Any]]] = {
         "n_grid": (_int_list(2, min_len=3), REQUIRED), "k_rule": (_k_rule, REQUIRED),
         "eps": (_eps, (0.1,)),
     },
-    "coupling": {"n": _N, "k": _K, "t_values": (_int_list(0), REQUIRED), "replicas": _REPLICAS},
+    "coupling": {"n": _N, "k": _K, "t_values": _TIMES, "replicas": _REPLICAS},
     "bounds": {
-        "n": _N, "k": _K, "t_values": (_int_list(0), REQUIRED),
+        "n": _N, "k": _K, "t_values": _TIMES,
         "threshold": (_int(1), REQUIRED), "replicas": _REPLICAS,
     },
     "hitting": {
         "m": (_int(1), REQUIRED), "q": (_number(0.0, 1.0), REQUIRED),
-        "steps_values": (_int_list(0), REQUIRED), "replicas": _REPLICAS,
+        "steps_values": _TIMES, "replicas": _REPLICAS,
     },
     "oracle-check": {
         "n_max": (_int(2, 8), 6), "t_max": (_int(0, 10_000), 30),

@@ -8,18 +8,19 @@ the window [-m+1, m] at time ``steps``: reflecting a killed path at its
 first zero visit pairs it with a free path that exits the window, and
 the lazy steps make the correspondence exact at every finite time.
 
-The free-walk window mass is an exact binomial mixture over the number
-of moves, taken from ratio recurrences of binomial coefficients in
-numpy alone: the move-count weights outward from their mode, and each
-window as running products outward from its central term.  Two tail
-bounds cut both sums in closed form.  Bernstein's inequality for
-Bin(steps, q) gives the window of move counts outside which at most
-2^-64 of the mass lies, and Hoeffding's for Bin(M, 1/2) gives the start
-m from which every window [-m+1, m] misses less than 2^-55 of its mass,
-so that the survival rounds to 1 without a sum.  An independent
-absorbing-boundary dynamic program over the positive half-line provides
-the cross-check, and a Gaussian evaluator covers the diffusive limit
-where m ~ alpha * s and steps ~ beta * s^2 / q.
+The survival is an exact binomial mixture, over the number of moves M,
+of P[tau_m > M] for tau_m the fair moves that reach 0 from m, from ratio
+recurrences in numpy alone: the move-count weights outward from their
+mode, and below one window mass per block of them the first-passage law
+P[tau_m = j] = (m / j) C(j, (j + m) / 2) / 2^j.  Two tail bounds cut the
+sums in closed form.  Bernstein's inequality for Bin(steps, q) gives the
+window of move counts outside which at most 2^-64 of the mass lies, and
+Hoeffding's for Bin(M, 1/2) gives the start m from which every window
+[-m+1, m] misses less than 2^-55 of its mass, so that the survival
+rounds to 1 without a sum.  An independent absorbing-boundary dynamic
+program over the positive half-line provides the cross-check, and a
+Gaussian evaluator covers the diffusive limit where m ~ alpha * s and
+steps ~ beta * s^2 / q.
 
 Simulation goes through the jump chain: a fair +1/-1 move per jump and
 a geometric holding time before it.  The hitting sampler draws the
@@ -47,21 +48,19 @@ _BRUTEFORCE_STEP_CAP = 10_000
 #: out at most 2 exp(-L) = 2^-64 of the Bin(steps, q) mass.
 _TAIL_LOG = 65.0 * math.log(2.0)
 
-#: Entries per block of the window sums of :func:`survival_exact` (a
-#: block has at least 16 move counts), and move counts per block of their
-#: weights: 512 KiB, so that a window of at most that many is summed as
-#: one array.
-_SPREAD_ENTRIES = 1 << 12
+#: Move counts per block of the weights of :func:`survival_exact`, and
+#: offsets per block of the ratio products of :func:`_anchor`: 512 KiB,
+#: so that a window of at most that many is summed as one array.
 _WEIGHT_ROWS = 1 << 16
 
 #: :func:`survival_exact` is estimated at _MOVE_NS per move count of its
-#: window plus _ENTRY_NS per window entry (a move count times (m + 1) // 2
-#: offsets), and refused beyond lumped's stepping cap of 300 s: an upper
-#: envelope of 70-76 ns per move count at m = 1, 217-305 at 11, 948-1076
-#: at 101 and 6907-7790 at 1001 (q 0.5, best and worst of 3, 2-core Xeon),
-#: estimated 230, 380, 1730 and 15230.
-_MOVE_NS = 200
-_ENTRY_NS = 30
+#: window plus _OFFSET_NS per offset of each block's :func:`_anchor`
+#: ((m + 1) // 2 of them), and refused beyond lumped's stepping cap of
+#: 300 s: an upper envelope of 21-40 ns per move count (m from 1 to 10^4,
+#: 3*10^5 and 3*10^6 move counts at q 0.5) and 6-16 ns per offset (m from
+#: 10^5 to 10^7 at q 1), best and worst of 3 on a 2-core Xeon.
+_MOVE_NS = 50
+_OFFSET_NS = 20
 
 #: Cap on the float hold of :func:`_geometric_from_uniform` before its
 #: int64 cast.
@@ -100,8 +99,8 @@ class WalkParams:
 
 def _validate(m: int, steps: int, q: float) -> None:
     WalkParams(q, m)
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if not 0 <= steps < 2**62:
+        raise ValueError(f"steps must lie in [0, 2**62), got {steps}")
 
 
 def _bernstein_window(steps: int, q: float) -> tuple[int, int, int]:
@@ -170,99 +169,98 @@ def _binomial_weights(steps: int, q: float, window: tuple[int, int, int]):
         yield start, np.exp(logw, out=logw)
 
 
-def _central_table(size: int) -> np.ndarray:
-    """C(M, M // 2) / 2^M for M < size, each an exact integer quotient,
-    correctly rounded."""
-    terms, comb = [], 1
-    for moves in range(size):
-        terms.append(comb / (1 << moves))
-        comb = comb * (moves + 1) // (moves // 2 + 1) if moves % 2 == 0 else 2 * comb
-    return np.array(terms)
+def _central(moves: int) -> float:
+    """C(M, M // 2) / 2^M, to about an ulp.
 
-
-_CENTRAL = _central_table(1024)
-
-
-def _central(moves: np.ndarray) -> np.ndarray:
-    """C(M, M // 2) / 2^M elementwise, to about an ulp.
-
-    From the table below 1024; above, from the asymptotic series of
-    Gamma(h + 1/2) / Gamma(h + 1) with h = M // 2, whose first omitted
-    term is below 1e-27 there:
+    Below 1024 the exact integer quotient, correctly rounded; above, the
+    asymptotic series of Gamma(h + 1/2) / Gamma(h + 1) with h = M // 2,
+    whose first omitted term is below 1e-27 there:
     C(2h, h) / 4^h = exp(-1/(8h) + 1/(192h^3) - 1/(640h^5) + 17/(14336h^7)) / sqrt(pi h),
     and C(2h + 1, h) / 2^(2h + 1) is that times (2h + 1) / (2h + 2).
     """
-    if moves[-1] < _CENTRAL.size:
-        return _CENTRAL[moves]
-    central = np.empty(moves.size)
-    small = moves < _CENTRAL.size
-    central[small] = _CENTRAL[moves[small]]
-    large = moves[~small]
-    half = large // 2
+    if moves < 1024:
+        return math.comb(moves, moves // 2) / (1 << moves)
+    half = moves // 2
     x = 1.0 / half
     x2 = x * x
     series = x * (-1.0 / 8.0 + x2 * (1.0 / 192.0 + x2 * (-1.0 / 640.0 + x2 * (17.0 / 14336.0))))
-    value = np.exp(series) / np.sqrt(np.pi * half)
-    odd = large % 2 == 1
-    value[odd] *= large[odd] / (large[odd] + 1.0)
-    central[~small] = value
-    return central
+    value = math.exp(series) / math.sqrt(math.pi * half)
+    return value * (moves / (moves + 1.0)) if moves % 2 else value
+
+
+def _anchor(moves: int, m: int) -> tuple[float, float]:
+    """(P[tau_m > A], P[tau_m = A]) for A = ``moves`` >= m of m's parity.
+
+    By reflection, the free walk's mass inside [-m+1, m] after A fair
+    moves, and m / A times its mass at m.  The mass at x = 2j - A % 2 and
+    at -x is C(A, h + j) / 2^A, h = A // 2: the central term times running
+    products of (A - b) / (b + 1) over b = h..h + j - 1, for j up to
+    (m + 1) // 2, taken ``_WEIGHT_ROWS`` at a time so that memory stays bounded.
+    """
+    half, width = moves // 2, (m + 1) // 2
+    inside, last = 0.0, 1.0
+    for start in range(1, width + 1, _WEIGHT_ROWS):
+        offsets = np.arange(start, min(start + _WEIGHT_ROWS, width + 1))
+        # C(A, h + j) / C(A, h), 0 past h + j = A
+        terms = (moves - half + 1 - offsets) / (half + offsets)
+        terms[0] *= last
+        np.multiply.accumulate(terms, out=terms)
+        inside += terms.sum()
+        last = terms[-1]
+    # offsets 1..w at x and -x, less x = -m, and offset 0 at x = 0 for even
+    # A; at odd A offset 0 is x = -1, the mirror of offset 1
+    inside = 2.0 * inside - last + (1 - moves % 2)
+    central = _central(moves)
+    return central * inside, m / moves * central * last
 
 
 def survival_exact(m: int, steps: int, q: float) -> float:
     """P[walk from m stays positive for ``steps`` steps], by reflection.
 
-    The free walk from 0 makes M ~ Bin(steps, q) moves and then sits at
-    2 Bin(M, 1/2) - M; the result is its mass inside [-m+1, m], summed
-    over the Bernstein window of move counts of :func:`_bernstein_window`,
-    which moves it by at most 2^-64.  For each M the window mass is the
-    central term C(M, h) / 2^M, h = M // 2, times the sum of
-    C(M, h + j) / C(M, h) over the offsets j the window holds, each a
-    running product of C(M, b + 1) / C(M, b) = (M - b) / (b + 1).  The
-    weights go a block of 2^16 at a time, so the cost is
-    O(m sqrt(steps q)) and the memory O(m + 2^16).  By Hoeffding's
+    The sum of P[tau_m > M], tau_m the fair moves that reach 0 from m, over
+    the M ~ Bin(steps, q) moves of the window of :func:`_bernstein_window`,
+    which moves it by at most 2^-64, with the weights a block of 2^16 at a
+    time.  :func:`_anchor` gives P[tau_m > A] and h_A = P[tau_m = A] at the
+    block's last A of m's parity; below, h_(j-2) = h_j (j + m)(j - m) /
+    ((j - 1)(j - 2)), and P[tau_m > M] is P[tau_m > A] plus the h_j with
+    M < j <= A: positive terms, so nothing cancels.  The cost is
+    O(sqrt(steps q) + m) per block, the memory O(2^16).  By Hoeffding's
     inequality the window misses at most 2 exp(-m^2 / (2 M)) of
     Bin(M, 1/2), so m^2 > 112 log(2) M for the largest M of the Bernstein
-    window makes every miss less than 2^-55, and gives 1 at once.  Otherwise
-    a sum estimated beyond the cap (see ``_MOVE_NS``) raises ValueError
-    before anything is allocated.
+    window makes every miss less than 2^-55, and gives 1 at once.
+    Otherwise a sum estimated beyond the cap (see ``_MOVE_NS``) raises
+    ValueError before anything is allocated.
     """
     _validate(m, steps, q)
     window = _bernstein_window(steps, q)
-    if m * m > 112.0 * math.log(2.0) * window[2]:
+    lo, _, hi = window
+    if m * m > 112.0 * math.log(2.0) * hi:
         # every window misses less than 2^-55 of its mass: 1 - 2^-55 rounds to 1
         return 1.0
-    width = (m + 1) // 2
-    estimate = (window[2] - window[0] + 1) * (_MOVE_NS + _ENTRY_NS * width)
+    blocks = (hi - lo) // _WEIGHT_ROWS + 1
+    estimate = (hi - lo + 1) * _MOVE_NS + blocks * ((m + 1) // 2) * _OFFSET_NS
     what = f"the exact survival with m={m}, steps={steps} and q={q}"
     _refuse_stepping(estimate, what, ValueError, "summing")
-    offsets = np.arange(1, width + 1)
-    rows = max(16, _SPREAD_ENTRIES // width)
     total = mass = 0.0
     for first, weights in _binomial_weights(steps, q, window):
-        end = first + weights.size
-        for start in range(first, end, rows):
-            stop = min(start + rows, end)
-            moves = np.arange(start, stop)
-            half = moves >> 1
-            # C(M, h + j) / C(M, h) for j = 1..width, 0 past h + j = M
-            terms = np.subtract.outer(moves - half + 1, offsets) / np.add.outer(half, offsets)
-            np.cumprod(terms, axis=1, out=terms)
-            # C(M, h + j) / 2^M is the mass at x = 2j - M % 2 and at -x.  Both
-            # lie in [-m+1, m] for j < width; at j = width, x = m + 1 - M % 2
-            # when m is odd, and x = m - M % 2 when m is even, so the window
-            # drops one copy if m is odd and one more if M is even.  Offset 0
-            # is x = 0 at even M; at odd M it is the mirror of offset 1.
-            last = terms[:, -1]
-            inside = terms.sum(axis=1)
-            inside *= 2.0
-            if m % 2:
-                inside -= last
-            even = slice(start % 2, None, 2)
-            inside[even] += 1.0 - last[even]
-            inside *= _central(moves)
-            total += weights[start - first : stop - first] @ inside
         mass += weights.sum()
+        top = first + weights.size - 1
+        anchor = int(top - (top - m) % 2)
+        if anchor < m:  # fewer than m moves never reach 0 from m
+            total += weights.sum()
+            continue
+        inside, hit = _anchor(anchor, m)
+        # above[c] is P[tau_m > anchor] plus h_j over the c largest j of m's
+        # parity in first < j <= anchor; P[tau_m > M] is above[(anchor + 1 - M) // 2]
+        j = np.arange(anchor, first + 2, -2, dtype=float)  # the j with j - 2 > first
+        above = np.zeros(j.size + 2)
+        above[1] = hit
+        above[2:] = (j + m) * (j - m) / ((j - 1.0) * (j - 2.0))
+        np.multiply.accumulate(above[1:], out=above[1:])
+        np.add.accumulate(above, out=above)  # the h_j alone: each sum rounds at their scale
+        above += inside
+        # a pairwise sum of the products, not a dot, which may thread
+        total += (weights * above[np.arange(anchor + 1 - first, anchor - top, -1) >> 1]).sum()
     return float(total / mass)
 
 
@@ -381,9 +379,10 @@ def hitting_time_samples(
             np.minimum(half, cap, out=half)
     ran = np.flatnonzero(half < cap)
     jumps = 2 * half[ran] + m
-    # q = 1 gives scale 0 and no holds; a subnormal q can give scale inf
+    # q = 1 gives scale 0 and no holds; a tiny q can give inf: the replica is unhit
     mean = rng.standard_gamma(jumps.astype(np.float64))
-    mean *= (1.0 - q) / q
+    with np.errstate(over="ignore"):
+        mean *= (1.0 - q) / q
     drawn = np.flatnonzero(mean <= min(2.0 * t_cap + 1024.0, _POISSON_MEAN_CAP))
     ran, jumps = ran[drawn], jumps[drawn]
     holds = rng.poisson(mean[drawn])

@@ -1,6 +1,7 @@
 """Reflection-principle survival and the lazy walk hitting time."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -69,13 +70,13 @@ def test_exact_matches_the_betainc_reference(q):
             ), (m, steps)
 
 
-def test_exact_across_the_edge_of_the_central_table():
-    """Move counts from 0 to past 1024 in one block: the central terms
-    come from the exact table below 1024 and from the series above."""
-    for m in (1, 2, 3):
-        assert survival_exact(m, 10**5, 0.005) == pytest.approx(
-            survival_betainc(m, 10**5, 0.005), abs=1e-14
-        )
+def test_central_term_is_within_two_ulp_of_the_exact_quotient():
+    """On both sides of 1024, where the exact quotient gives way to the
+    asymptotic series, C(M, M // 2) / 2^M is within 2 ulp of the big-integer
+    quotient, correctly rounded."""
+    for moves in (*range(1000, 1101), 2047, 4096, 4097, 65535, 65536, 99_999, 10**5):
+        exact = math.comb(moves, moves // 2) / (1 << moves)
+        assert abs(walk._central(moves) - exact) <= 2 * math.ulp(exact), moves
 
 
 @pytest.mark.parametrize("m,steps,q", [(5000, 10**6, 0.25), (300, 10**4, 0.5), (1000, 10**6, 0.5)])
@@ -136,16 +137,33 @@ def test_exact_in_weight_blocks_matches_one_block(monkeypatch, m, steps, q, weig
 
 def test_exact_memory_is_bounded_by_a_block():
     """At 10^11 steps the Bernstein window spans about three million move
-    counts, but the traced peak stays under 8 MB; from 1 the walk survives
-    about sqrt(2 / (pi q steps)), up to O(1 / steps)."""
-    tracemalloc.start()
-    try:
-        value = survival_exact(1, 10**11, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000
-    assert value == pytest.approx(math.sqrt(2.0 / (math.pi * 0.5e11)), rel=1e-9)
+    counts, and at m = 10^7 the anchor five million offsets, but the traced
+    peak stays under 8 MB.  From 1 the walk survives about
+    sqrt(2 / (pi q steps)), up to O(1 / steps), and at q = 1 from 10^7
+    about erf(m / sqrt(2 steps))."""
+    for m, steps, q, limit in [(1, 10**11, 0.5, math.sqrt(2.0 / (math.pi * 0.5e11))),
+                               (10**7, 10**15, 1.0, math.erf(1e7 / math.sqrt(2e15)))]:
+        tracemalloc.start()
+        try:
+            value = survival_exact(m, steps, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert value == pytest.approx(limit, rel=1e-9)
+
+
+def test_exact_from_thirty_thousand_runs_in_under_two_seconds():
+    """At m = 30001 and 10^10 steps the ratio products run once per block
+    of weights, not once per move count: about 0.03 s on a 2-core Xeon,
+    where a sum of window masses per move count was estimated at 427 s.
+    The reference is the sum over the same window of scipy's binomial pmf
+    times betainc window masses, which takes over a minute; the two agree
+    to 2.7e-15."""
+    start = time.perf_counter()
+    value = survival_exact(30001, 10**10, 0.5)
+    assert time.perf_counter() - start < 2.0
+    assert value == pytest.approx(0.3286370720284956, rel=1e-13, abs=0.0)
 
 
 def test_exact_runs_at_the_cap_and_is_refused_below_it(monkeypatch):
@@ -154,7 +172,8 @@ def test_exact_runs_at_the_cap_and_is_refused_below_it(monkeypatch):
     below it; the shortcut to 1 is never refused."""
     m, steps, q = 11, 10**6, 0.5
     lo, _, hi = walk._bernstein_window(steps, q)
-    estimate = (hi - lo + 1) * (walk._MOVE_NS + walk._ENTRY_NS * ((m + 1) // 2))
+    blocks = (hi - lo) // walk._WEIGHT_ROWS + 1
+    estimate = (hi - lo + 1) * walk._MOVE_NS + blocks * ((m + 1) // 2) * walk._OFFSET_NS
     monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate)
     assert survival_exact(m, steps, q) == pytest.approx(survival_betainc(m, steps, q), abs=1e-14)
     monkeypatch.setattr(lumped, "_STEPPING_CAP_NS", estimate - 1)
@@ -168,13 +187,13 @@ def test_exact_runs_at_the_cap_and_is_refused_below_it(monkeypatch):
 
 def test_exact_across_the_full_window_shortcut(monkeypatch):
     """A window that holds every term of note gives 1 without a pass over it."""
-    passes, central = [], walk._central
+    passes, anchor = [], walk._anchor
 
-    def counted(moves):
+    def counted(moves, m):
         passes.append(moves)
-        return central(moves)
+        return anchor(moves, m)
 
-    monkeypatch.setattr(walk, "_central", counted)
+    monkeypatch.setattr(walk, "_anchor", counted)
     shortcut = []
     for m in range(380, 470, 9):  # the shortcut returns 1 from m = 425 on
         before = len(passes)
@@ -231,6 +250,8 @@ def test_validation():
         survival_exact(1, 5, 0.0)
     with pytest.raises(ValueError):
         survival_exact(1, 5, 1.2)
+    with pytest.raises(ValueError, match=rf"^steps must lie in \[0, 2\*\*62\), got {2**62}$"):
+        survival_exact(1, 2**62, 1.0)
     with pytest.raises(ValueError):
         survival_bruteforce(1, 20_000, 0.5)
     with pytest.raises(ValueError):
@@ -479,6 +500,14 @@ def test_tiny_move_probability_raises_naming_q(q):
     replica keeps the sentinel without a Poisson draw."""
     times, hit = hitting_time_samples(WalkParams(q, 1), 1000, 5, replica_stream(34, 0))
     assert not hit.any() and (times == 1001).all()
+
+
+def test_hold_means_overflow_to_unhit_without_a_warning():
+    """At q = 1e-300 the holds' gamma mean times (1 - q) / q passes the
+    float range for long excursions: the inf it gives leaves the replica
+    unhit, and raises no RuntimeWarning (an error in this suite)."""
+    times, hit = hitting_time_samples(WalkParams(1e-300, 100), 10**12, 2000, replica_stream(34, 1))
+    assert not hit.any() and (times == 10**12 + 1).all()
 
 
 def test_geometric_hold_saturates_instead_of_wrapping():
