@@ -88,7 +88,10 @@ _BLOCK_ROWS = 64
 _BLOCK_BYTES = 1 << 20
 
 #: The eigen-expansion behind threshold times keeps at most this many terms.
+#: It is built _FIRST_TERMS deep, and deepened by doubling only where a
+#: bisection probe needs it (:meth:`_Spectrum.crossing`).
 _SPECTRAL_TERMS = 200
+_FIRST_TERMS = 16
 
 #: States below this stationary mass are left out of the expansion; the
 #: share of d(t) they carry is bounded instead.
@@ -661,10 +664,12 @@ class _Spectrum:
     multiplicities (Diaconis and Shahshahani 1987), kept as logs.  On the
     states S = {y : pi(y) >= 1e-290} the values sqrt(pi(y)) p_i(y) come
     from a Stieltjes (Lanczos) recurrence with full reorthogonalisation.
-    The expansion keeps I terms: at most 200, and only as many as the
-    recurrence on S reproduces the closed-form Hahn recurrence
-    coefficients of pi.  By Cauchy-Schwarz in L2(pi), d(t) then lies
-    within
+    The recurrence runs at most ``cap`` terms: 200, or fewer where the
+    recurrence on S stops reproducing the closed-form Hahn recurrence
+    coefficients of pi.  It is built 16 terms deep and continued only on
+    demand (:meth:`_extend`), so that memory and time follow the depth a
+    bisection needs.  With I terms built, by Cauchy-Schwarz in L2(pi),
+    d(t) lies within
 
         e(t) = 1/2 sqrt(sum_{i > I} d_i lambda_i^{2t})     (truncation)
              + 1/2 sqrt(pi(S^c) chi2(t))                  (states outside S)
@@ -692,33 +697,41 @@ class _Spectrum:
         ahead = (n + 1 - j) * (k - j) ** 2 / ((n + 1 - 2 * j) * (n - 2 * j))
         behind = j * (n - k + 1 - j) ** 2 / ((n + 2 - 2 * j) * (n + 1 - 2 * j))
         after = (j + 1) * (n - k - j) ** 2 / ((n - 2 * j) * (n - 1 - 2 * j))
-        a, b = ahead + behind, np.sqrt(ahead * after)
-        y = self.states.astype(float)
-        basis = np.empty((j.size + 1, y.size))
-        basis[0] = self.weight
-        terms = 0
-        while terms < j.size:
-            done = basis[: terms + 1]
-            v = y * basis[terms]
-            a_num = float(v @ basis[terms])
+        self._a, self._b = ahead + behind, np.sqrt(ahead * after)
+        self._y = self.states.astype(float)
+        # row 0 is sqrt(pi) on S and row i the i-th term; a row's pages are
+        # first touched when _extend writes it, so memory follows the depth
+        self._basis = np.empty((j.size + 1, self._y.size))
+        self._basis[0] = self.weight
+        self.terms = 0
+        self.cap = j.size  # lowered to where the recurrence stops agreeing
+        self._extend(_FIRST_TERMS)
+
+    def _extend(self, terms: int) -> None:
+        """Continue the recurrence to ``terms`` terms, or until it stops
+        reproducing the closed-form coefficients, or to the cap."""
+        basis, a, b = self._basis, self._a, self._b
+        while self.terms < min(terms, self.cap):
+            done, row = basis[: self.terms + 1], basis[self.terms]
+            v = self._y * row
+            a_num = float(np.einsum("i,i->", v, row))
             for _ in range(2):
-                v -= done.T @ (done @ v)
-            b_num = float(np.linalg.norm(v))
-            scale = _HAHN_AGREE * (a[terms] + b[terms])
-            if abs(a_num - a[terms]) > scale or abs(b_num - b[terms]) > scale:
+                v -= np.einsum("ij,i->j", done, np.einsum("ij,j->i", done, v))
+            b_num = math.sqrt(np.einsum("i,i->", v, v))
+            scale = _HAHN_AGREE * (a[self.terms] + b[self.terms])
+            if abs(a_num - a[self.terms]) > scale or abs(b_num - b[self.terms]) > scale:
+                self.cap = self.terms
                 break
-            terms += 1
-            basis[terms] = v / b_num
-        self.terms = terms
-        self.basis = basis[1 : terms + 1]
+            self.terms += 1
+            np.divide(v, b_num, out=basis[self.terms])
 
     def residual(self, kernel: BirthDeathKernel) -> float:
         """Largest of |P p_i - lambda_i p_i|, with p_i scaled to unit sup
-        norm, and |log p_i(k)^2 - log d_i| over the kept terms; meaningful
+        norm, and |log p_i(k)^2 - log d_i| over the built terms; meaningful
         where every state is kept."""
         lam = np.exp(self.log_lam)
         worst = 0.0
-        for i, row in enumerate(self.basis):
+        for i, row in enumerate(self._basis[1 : self.terms + 1]):
             p = np.zeros(kernel.size)
             p[self.states] = row / self.weight
             gap = abs(2.0 * math.log(p[-1]) - self.log_d[i]) if p[-1] > 0 else math.inf
@@ -729,43 +742,79 @@ class _Spectrum:
     def at(self, t):
         """The expansion's d(t) and its certified error e(t), elementwise for
         an int or an integer array t; (1, inf) where e(t) >= 1, where the
-        expansion says nothing."""
+        expansion says nothing.  Uses the terms built so far."""
+        return self._at(t)[:2]
+
+    def _at(self, t):
+        """at(t), plus two parts of e(t) that decide whether deepening can
+        help: the truncation term (inf where the expansion says nothing),
+        and the band that the other terms leave undecided (inf where they
+        reach 1 with the rounding term of all ``cap`` terms, so that no
+        depth says anything)."""
         t = np.asarray(t)
-        # at t = 0 skip the powers: 0 * log(lambda_1) is nan when n = 2
-        with np.errstate(invalid="ignore"):
-            powers = 2.0 * t[..., None] * self.log_lam
-        log_w = self.log_d + np.where(t[..., None] > 0, powers, 0.0)
+        with np.errstate(invalid="ignore"):  # 0 * log(lambda_1) is nan when n = 2
+            log_w = np.multiply.outer(2.0 * t, self.log_lam)
+        log_w[t == 0] = 0.0
+        log_w += self.log_d
         head = 0.5 * log_w[..., : self.terms]
         log_tail = _log_sum_exp(log_w[..., self.terms :])
         log_chi2 = np.logaddexp(_log_sum_exp(log_w[..., : self.terms]), log_tail)
         float_part = _SPECTRAL_SLACK + _STEP_ROUNDING * t
-        log_err = np.logaddexp.reduce([
-            math.log(0.5) + 0.5 * log_tail,
-            math.log(0.5) + 0.5 * (self.log_outside + log_chi2),
-            math.log(_TERM_ROUNDING) + _log_sum_exp(head),
-        ])
+        log_trunc = math.log(0.5) + 0.5 * log_tail
+        log_out = math.log(0.5) + 0.5 * (self.log_outside + log_chi2)
+        log_round = math.log(_TERM_ROUNDING) + _log_sum_exp(head)
+        log_err = np.logaddexp.reduce([log_trunc, log_out, log_round])
         says = (log_err < 0.0) & (float_part < 1.0)
         coef = np.exp(np.where(says[..., None], head, -math.inf))
-        d = np.where(says, 0.5 * np.abs(coef @ self.basis) @ self.weight, 1.0)
-        return d, float_part + np.exp(np.where(says, log_err, math.inf))
+        rows = self._basis[1 : self.terms + 1]
+        mass = np.einsum("...j,j->...", np.abs(np.einsum("...i,ij->...j", coef, rows)), self.weight)
+        d = np.where(says, 0.5 * mass, 1.0)
+        err = float_part + np.exp(np.where(says, log_err, math.inf))
+        log_floor = math.log(_TERM_ROUNDING) + _log_sum_exp(0.5 * log_w[..., : self.cap])
+        band = float_part + np.exp(np.logaddexp(log_out, log_round))
+        floor = float_part + np.exp(np.logaddexp(log_out, log_floor))
+        return d, err, np.where(says, np.exp(log_trunc), math.inf), np.where(floor < 1.0, band, math.inf)
+
+    def _decide(self, t: int, eps: float):
+        """at(t), deepening the expansion while it leaves d(t) against eps
+        undecided and the truncation term is what leaves it so: the other
+        terms of e(t) alone would decide it, or the truncation term is the
+        larger part.  A probe where the other terms reach 1 with the
+        rounding term of all ``cap`` terms is not deepened."""
+        while True:
+            d, err, trunc, band = self._at(t)
+            if abs(d - eps) > err or self.terms == self.cap or max(abs(d - eps), trunc) <= band:
+                return d, err
+            self._extend(2 * self.terms)
 
     def crossing(self, eps: float, lo: int, hi: int) -> int | None:
         """The first t in [lo, hi] with d(t) <= eps, or hi + 1 when d(hi) > eps,
         given that d(lo - 1) > eps; None when the certified error cannot decide.
 
         Bisection is valid because d(t) is non-increasing.  The answer t is
-        taken only when d(t) and d(t - 1) clear eps by more than their errors.
+        taken only when d(t) and d(t - 1) clear eps by more than their errors,
+        so it is the same at any depth.  Probes deepen the expansion only as
+        far as they need (:meth:`_decide`); where that leaves the answer
+        undecided, the bisection is run again on all ``cap`` terms, so an
+        answer the whole expansion gives is never lost.
         """
+        found = self._bisect(eps, lo, hi)
+        if found is None and self.terms < self.cap:
+            self._extend(self.cap)
+            found = self._bisect(eps, lo, hi)
+        return found
+
+    def _bisect(self, eps: float, lo: int, hi: int) -> int | None:
         if lo > hi:
             return hi + 1
-        d, err = self.at(hi)
+        d, err = self._decide(hi, eps)
         if d > eps:
             return hi + 1 if d - eps > err else None
         below, above = (d, err), None
         left, right = lo - 1, hi
         while right - left > 1:
             mid = (left + right) // 2
-            d, err = self.at(mid)
+            d, err = self._decide(mid, eps)
             if d <= eps:
                 right, below = mid, (d, err)
             else:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mixlab import ModelParams, cli, lumped, walk
-from mixlab.config import parse_config
+from mixlab.config import K_RULE_KINDS, KINDS, SCHEMA, ConfigError, parse_config
 from mixlab.experiments import OracleFailure, run_experiment, run_oracle_check
 from mixlab.lumped import BirthDeathKernel, build_kernel
 from test_config_records import MINIMAL
@@ -170,6 +170,109 @@ def test_cli_hitting_at_the_edges_of_the_schema_exits_cleanly(tmp_path, capsys):
             assert err == ("config error: every entry of 'steps_values' must be <= "
                            "4611686018427387903\n"), case
     assert time.monotonic() - start < 10.0
+
+
+#: Float probes for number-valued keys and list entries; integers are
+#: probed by bisection (see _edges).
+_FLOAT_PROBES = (-1.0, 0.0, 5e-324, 1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0,
+                 math.nextafter(1.0, 2.0), 1e308, math.inf)
+_FAR = 10**30
+
+#: Legal edges whose runs take most of a second each (0.3-0.9 s on a
+#: 2-core Xeon); they run apart from the rest, under their own budget.
+_SLOW_EDGES = (("oracle-check", "t_max", 10_000), ("oracle-check", "walk_m_max", 200),
+               ("oracle-check", "pair_n_max", 50))
+
+
+def _edges(accepts):
+    """The probes next to a change between refused and accepted values:
+    the float probes, and for integers the ends of the accepted interval
+    with their outside neighbours, or 2**62 - 1, 2**62 and 10**30 where
+    it has no upper end."""
+    ok = [accepts(v) for v in _FLOAT_PROBES]
+    edges = [v for i, v in enumerate(_FLOAT_PROBES)
+             if ok[i] and i in (0, len(ok) - 1)
+             or any(ok[j] != ok[i] for j in (i - 1, i + 1) if 0 <= j < len(ok))]
+    inside = next((v for v in (0, 1, 2, 3, 10, 100, 10**4, 10**6, 10**9) if accepts(v)), None)
+    if inside is None:
+        return edges
+
+    def end(out, into):  # the accepted end between a refused and an accepted value
+        while abs(out - into) > 1:
+            mid = (out + into) // 2
+            out, into = (out, mid) if accepts(mid) else (mid, into)
+        return into
+
+    lo = end(-_FAR, inside)
+    above = (2**62, _FAR) if accepts(_FAR) else (end(_FAR, inside) + 1,)
+    return edges + [lo - 1, lo, lo + 1, above[0] - 1, *above]
+
+
+def _schema_edges(kind, base):
+    """Configs of ``kind`` with one key of ``config.SCHEMA`` at an edge of
+    what ``parse_config`` accepts with the other keys at ``base``: the
+    scalar, the list of equal entries of the shortest accepted length
+    (and one shorter), and for k rules each rule kind's value.  Replicas
+    are 1 or 10^12 only, so that no legal run allocates gigabytes."""
+    for key in SCHEMA[kind]:
+        def accepts(value):
+            try:
+                parse_config({**base, "kind": kind, key: value})
+            except ConfigError:
+                return False
+            return True
+
+        values = _edges(accepts)
+        entries = _edges(lambda v: accepts([v] * 8))
+        legal = [v for v in entries if accepts([v] * 8)]
+        if legal:
+            size = next(s for s in range(1, 9) if accepts([legal[0]] * s))
+            values += [[v] * size for v in entries] + [[legal[0]] * (size - 1)]
+        for rule in K_RULE_KINDS:
+            values += [{"kind": rule, "value": v}
+                       for v in _edges(lambda v: accepts({"kind": rule, "value": v}))]
+        if key == "replicas":
+            values = [1, 10**12]
+        for value in {json.dumps(v): v for v in values}.values():
+            yield key, value, {**base, key: value}
+
+
+def test_cli_every_kind_at_the_edges_of_the_schema_exits_cleanly(tmp_path, capsys):
+    """Each config with one key at an edge of the schema, generated from
+    ``config.SCHEMA`` and the ``MINIMAL`` configs, exits 0 with nothing on
+    stderr, 1 with one line per problem, or (oracle-check) 2 with one line
+    per violated identity, and no exception escapes.  The 160 configs
+    outside _SLOW_EDGES took 1.4 s on a 2-core Xeon, within a budget of
+    10 s; the 3 slow ones took 2.0 s, within 15 s."""
+    spent = {False: 0.0, True: 0.0}
+    cases = 0
+    for kind in KINDS:
+        base = {key: value for key, value in MINIMAL[kind].items() if key != "kind"}
+        if "replicas" in SCHEMA[kind]:
+            base["replicas"] = 1
+        for key, value, config in _schema_edges(kind, base):
+            try:
+                parse_config({**config, "kind": kind})
+                lines = ["error: "]
+            except ConfigError as exc:
+                lines = [f"config error: {problem}" for problem in exc.problems]
+            cfg = _write_config(tmp_path, "c.json", config)
+            start = time.monotonic()
+            code = cli.main([kind, "--config", cfg])
+            spent[(kind, key, value) in _SLOW_EDGES] += time.monotonic() - start
+            err = capsys.readouterr().err.splitlines()
+            case = (kind, key, value, err)
+            cases += 1
+            if code == 0:
+                assert err == [], case
+            elif code == 1:
+                assert len(err) == len(lines), case
+                assert all(line.startswith(want) for line, want in zip(err, lines)), case
+            else:
+                assert code == 2 and kind == "oracle-check", case
+                assert err and all(line.startswith("oracle violation: ") for line in err), case
+    assert cases > 150
+    assert spent[False] < 10.0 and spent[True] < 15.0
 
 
 def _hitting_rows(tmp_path, payload, *args):

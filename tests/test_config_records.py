@@ -5,7 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -577,3 +580,54 @@ def test_package_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as handle:
         assert mixlab.__version__ == tomllib.load(handle)["project"]["version"]
+
+
+#: The AVX-512 targets numpy dispatches to; with them disabled a process
+#: takes the AVX2 paths.
+_AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+#: Columns drawn from the replica streams.
+_SAMPLED = {"estimate", "stderr", "coupon_value", "coupon_stderr", "labeled_value",
+            "labeled_stderr", "simulated"}
+
+_WRITE_MINIMAL = """
+import json, sys
+from mixlab import cli
+for kind, payload in json.loads(sys.argv[1]).items():
+    with open(f"{sys.argv[2]}/{kind}.cfg", "w") as handle:
+        json.dump(payload, handle)
+    cli.main([kind, "--config", f"{sys.argv[2]}/{kind}.cfg", "--format", "json",
+              "--out", f"{sys.argv[2]}/{kind}.json"])
+"""
+
+
+def test_minimal_records_across_cpu_dispatch_paths(tmp_path):
+    """The MINIMAL records written on numpy's AVX2 paths have the bytes of
+    those written on its AVX-512 paths in every integer, text and sampled
+    cell and in the metadata, and exact float cells within
+    1e-14 * max(1, |x|) (the README's Reproducibility section): exp, log,
+    log1p, expm1 and power round differently on the two paths."""
+    multiarray = pytest.importorskip("numpy._core._multiarray_umath")
+    features = getattr(multiarray, "__cpu_features__", {})
+    dispatch = getattr(multiarray, "__cpu_dispatch__", [])
+    if not all(features.get(name) and name in dispatch for name in _AVX512_TARGETS):
+        pytest.skip("this host or numpy build has no AVX-512 paths to turn off")
+    records = {}
+    for paths, disabled in (("avx512", ""), ("avx2", " ".join(_AVX512_TARGETS))):
+        out = tmp_path / paths
+        out.mkdir()
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+        subprocess.run([sys.executable, "-c", _WRITE_MINIMAL, json.dumps(MINIMAL), str(out)],
+                       env=env, check=True, timeout=120)
+        records[paths] = {kind: json.loads((out / f"{kind}.json").read_text()) for kind in MINIMAL}
+    for kind, wide in records["avx512"].items():
+        narrow = records["avx2"][kind]
+        assert {key: value for key, value in wide.items() if key != "rows"} == {
+            key: value for key, value in narrow.items() if key != "rows"}, kind
+        assert len(wide["rows"]) == len(narrow["rows"]), kind
+        for row, other in zip(wide["rows"], narrow["rows"]):
+            for column, a, b in zip(wide["columns"], row, other):
+                if isinstance(a, float) and column not in _SAMPLED:
+                    assert abs(a - b) <= 1e-14 * max(1.0, abs(a)), (kind, column, a, b)
+                else:
+                    assert a == b and type(a) is type(b), (kind, column, a, b)

@@ -745,9 +745,10 @@ def test_spectral_error_bounds_the_stepped_distance(n, k, terms):
     so its truncation and left-out states are in play unpatched."""
     params = ModelParams(n, k)
     spectrum = lumped._Spectrum(params, equilibrium(params))
+    spectrum._extend(lumped._SPECTRAL_TERMS)
     assert spectrum.terms == (86 if n == 10**5 else min(k, 200))
     if terms is not None:
-        spectrum.terms, spectrum.basis = terms, spectrum.basis[:terms]
+        spectrum.terms = terms
     profile = d_curve(params, 3 * n)
     times = np.arange(0, 3 * n + 1, 7 * max(1, n // 5000))  # at most about 2100 times
     d_all, err_all = spectrum.at(times)
@@ -767,8 +768,30 @@ def test_spectral_error_bounds_the_stepped_distance(n, k, terms):
 def test_small_k_at_a_million_sites_is_bisected():
     """At (10^6, 2000) the expansion keeps its terms and decides both eps."""
     params = ModelParams(10**6, 2000)
-    assert lumped._Spectrum(params, equilibrium(params)).terms >= 100
+    spectrum = lumped._Spectrum(params, equilibrium(params))
+    spectrum._extend(lumped._SPECTRAL_TERMS)
+    assert spectrum.terms >= 100
     assert mixing_times(params, (0.75, 0.25)) == {0.75: 2917378, 0.25: 3644942}
+
+
+def test_bisection_builds_only_the_depth_its_probes_need(monkeypatch):
+    """At the benchmark sweep's points (k = n/5, eps 0.9 and 0.1) every
+    threshold is decided short of the 200 terms of the whole expansion,
+    under 100 at (10^4, 2000), and the times are the stepper's."""
+    built = []
+    init = lumped._Spectrum.__init__
+
+    def capture(spectrum, *args):
+        init(spectrum, *args)
+        built.append(spectrum)
+
+    monkeypatch.setattr(lumped._Spectrum, "__init__", capture)
+    for n in (4000, 6000, 8000, 10000):
+        times = mixing_times(ModelParams(n, n // 5), (0.9, 0.1))
+        assert built[-1].terms < 200 == built[-1].cap
+    assert len(built) == 4
+    assert built[-1].terms < 100
+    assert times == {0.9: 16982, 0.1: 29920}
 
 
 @pytest.mark.parametrize("n,k", [(200, 40), (1000, 10)] + [
